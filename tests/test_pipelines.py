@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
-from conftest import FIXTURES
-from conductor.backend import Backend, Generation, ReplayBackend, estimate_tokens
+from conftest import FIXTURES, QueueBackend
+from conductor.backend import ReplayBackend
 from conductor.core import SchemaKind, render_toolset
 from conductor.data import load_dataset
 from conductor.errors import EmptyPlan, UnknownTool
@@ -23,26 +21,6 @@ from conductor.pipelines import (
 from conductor.plangrammar import ToolCall, parse_source_plan
 from conductor.profiles import FOCUS_SOURCES
 from conductor.retrieval import Corpus
-
-
-class QueueBackend(Backend):
-    """Feeds scripted generations in call order and records every request."""
-
-    def __init__(self, *responses: str):
-        self.queue = deque(responses)
-        self.requests = []
-
-    def complete(self, request) -> Generation:
-        self.requests.append(request)
-        text = self.queue.popleft()
-        return Generation(
-            text=text,
-            prompt_tokens=estimate_tokens(request.prompt_text),
-            completion_tokens=estimate_tokens(text),
-            latency_ms=0,
-            backend_tag="queue",
-            model_id=request.model_id,
-        )
 
 
 def _replay() -> ReplayBackend:
