@@ -23,14 +23,12 @@ from conductor.core import (
     Dialogue,
     Evidence,
     EvidenceStore,
-    PersonaSpec,
     RunRecord,
     SchemaKind,
     Thought,
     ToolKind,
     ToolSet,
     Utterance,
-    assemble_prompt,
     render_dialogue,
     render_toolset,
 )
@@ -51,7 +49,6 @@ from conductor.pipelines import (
     Method,
     MethodConfig,
     combine_middle,
-    execute_source_plan,
     run_batch,
     run_method,
 )

@@ -34,6 +34,7 @@ from conductor.data import (
     export_records,
     references_from_samples,
     sample_from_obj,
+    select_demonstrations,
 )
 from conductor.errors import (
     ConductorError,
@@ -89,16 +90,11 @@ def _prices(args: argparse.Namespace) -> PriceTable:
 
 
 def _method_config(args: argparse.Namespace) -> MethodConfig:
-    if args.demos is not None:
-        # fail fast on a count the (kind, method) bank cannot satisfy
-        from conductor.data import select_demonstrations
-
-        select_demonstrations(SchemaKind(args.kind), args.method, count=args.demos)
-    return MethodConfig(
+    config = MethodConfig(
         method=Method(args.method),
         dataset_kind=SchemaKind(args.kind),
         model_id=args.model,
-        demo_ids=tuple(range(args.demos)) if args.demos is not None else None,
+        demo_count=args.demos,
         k_retrieved=args.k,
         include_thought_in_planner=not args.no_thought_in_planner,
         include_thought_in_executor=not args.no_thought_in_executor,
@@ -107,6 +103,10 @@ def _method_config(args: argparse.Namespace) -> MethodConfig:
         enrich_query_with_status=not args.no_query_enrichment,
         react_max_steps=args.react_max_steps,
     )
+    if args.demos is not None:
+        # fail fast on a count the (kind, method) bank cannot satisfy
+        select_demonstrations(config.dataset_kind, args.method, count=args.demos)
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -228,6 +228,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
     prices = _prices(args)
     config = _method_config(args)
     kind = config.dataset_kind
+    user_role, system_role = ROLE_LABELS[kind]
     base_sample = None
     if args.sample:
         with open(args.sample, encoding="utf-8") as handle:
@@ -242,7 +243,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
         if not text:
             continue
         turn_no += 1
-        turns.append(Utterance(speaker=_user_role(kind), text=text))
+        turns.append(Utterance(speaker=user_role, text=text))
         dialogue = Dialogue(id=f"chat-{turn_no}", utterances=tuple(turns), schema_kind=kind)
         sample = Sample(
             id=base_sample.id if base_sample else f"chat-{turn_no}",
@@ -264,16 +265,8 @@ def cmd_chat(args: argparse.Namespace) -> int:
         if record.error:
             print(f"[error {record.error.kind}] {record.error.detail}")
         print(f"[response] {record.response}")
-        turns.append(Utterance(speaker=_system_role(kind), text=record.response or "-"))
+        turns.append(Utterance(speaker=system_role, text=record.response or "-"))
     return 0
-
-
-def _user_role(kind: SchemaKind) -> str:
-    return ROLE_LABELS[kind][0]
-
-
-def _system_role(kind: SchemaKind) -> str:
-    return ROLE_LABELS[kind][1]
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

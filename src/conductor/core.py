@@ -4,9 +4,7 @@ The types here are immutable after construction and safe to share across
 threads. Rendering is pure: the same inputs always produce byte-identical
 strings, which is what makes replay fixtures and golden-file tests possible.
 
-Dialogue turns are joined with a single tab character; splitting a rendered
-dialogue on tabs and "ROLE: " prefixes recovers the utterance list exactly
-(as long as utterance texts contain neither tabs nor newlines).
+Dialogue turns render as "ROLE: text" segments joined with a single tab.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Any, Iterable, Iterator
 from conductor.errors import MissingSection
 
 TURN_SEPARATOR = "\t"
-SECTION_SEPARATOR = "\n\n"
 
 
 class SchemaKind(Enum):
@@ -40,13 +37,6 @@ ROLE_LABELS: dict[SchemaKind, tuple[str, str]] = {
 class ToolKind(Enum):
     SOURCE = "source"
     STRATEGY = "strategy"
-
-
-class PersonaRole(Enum):
-    THINKER = "thinker"
-    PLANNER = "planner"
-    EXECUTOR = "executor"
-    MERGED_PLANNER_EXECUTOR = "planner_executor"
 
 
 @dataclass(frozen=True)
@@ -135,16 +125,6 @@ class ToolSet:
             if tool.name == name:
                 return tool
         return None
-
-
-@dataclass(frozen=True)
-class PersonaSpec:
-    role: PersonaRole
-    persona_text: str
-
-    def __post_init__(self) -> None:
-        if not self.persona_text.strip():
-            raise ValueError("persona text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -295,19 +275,6 @@ def render_dialogue(
     )
 
 
-def parse_dialogue_text(
-    text: str, dialogue_id: str, schema_kind: SchemaKind
-) -> Dialogue:
-    """Inverse of render_dialogue for texts without embedded tabs/newlines."""
-    utterances = []
-    for segment in text.split(TURN_SEPARATOR):
-        speaker, sep, utt_text = segment.partition(": ")
-        if not sep:
-            raise ValueError(f"segment {segment!r} lacks a 'ROLE: ' prefix")
-        utterances.append(Utterance(speaker=speaker, text=utt_text))
-    return Dialogue(id=dialogue_id, utterances=tuple(utterances), schema_kind=schema_kind)
-
-
 def render_toolset(
     toolset: ToolSet,
     include_examples: bool = False,
@@ -388,31 +355,6 @@ def render_demo_slot(blocks: Iterable[str]) -> str:
     """Join demo blocks for a {demos} slot; each block carries its own
     blank-line separator so an empty slot leaves no gap."""
     return "".join(f"{block}\n\n" for block in blocks)
-
-
-def assemble_prompt(
-    persona: PersonaSpec | str,
-    dialogue_text: str,
-    cue: str,
-    toolset_doc: str | None = None,
-    demos: Iterable[str] = (),
-    extras: Iterable[tuple[str, str]] = (),
-) -> str:
-    """Deterministic prompt concatenation.
-
-    Section order is fixed: persona, toolset documentation, demonstrations,
-    extras, then the target dialogue with its trailing cue label. Sections
-    are separated by blank lines; extras render as labeled lines directly
-    above the "Dialogue:" line. Byte-identical output for identical inputs.
-    """
-    persona_text = persona.persona_text if isinstance(persona, PersonaSpec) else persona
-    sections: list[str] = [persona_text]
-    if toolset_doc:
-        sections.append(toolset_doc)
-    sections.extend(demos)
-    target = f"{render_extras(extras)}Dialogue: {dialogue_text}\n{cue}"
-    sections.append(target)
-    return SECTION_SEPARATOR.join(sections)
 
 
 # ---------------------------------------------------------------------------

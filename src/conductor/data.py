@@ -14,6 +14,7 @@ is no randomness anywhere in the data path.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
 from typing import Any, Iterable, Sequence
@@ -52,28 +53,18 @@ FOCUS_DOCUMENT_CANDIDATES = 10
 OTHERS_LABEL = "Others"
 
 
+@dataclass(frozen=True)
 class Sample:
     """One evaluation sample: dialogue, gold response, and per-kind extras."""
 
-    def __init__(
-        self,
-        id: str,
-        dialogue: Dialogue,
-        gold_response: str,
-        persona_candidates: tuple[str, ...] | None = None,
-        document_candidates: tuple[str, ...] | None = None,
-        gold_persona_indices: tuple[int, ...] | None = None,
-        gold_document_index: int | None = None,
-        gold_strategies: tuple[str, ...] | None = None,
-    ):
-        self.id = id
-        self.dialogue = dialogue
-        self.gold_response = gold_response
-        self.persona_candidates = persona_candidates
-        self.document_candidates = document_candidates
-        self.gold_persona_indices = gold_persona_indices
-        self.gold_document_index = gold_document_index
-        self.gold_strategies = gold_strategies
+    id: str
+    dialogue: Dialogue
+    gold_response: str
+    persona_candidates: tuple[str, ...] | None = None
+    document_candidates: tuple[str, ...] | None = None
+    gold_persona_indices: tuple[int, ...] | None = None
+    gold_document_index: int | None = None
+    gold_strategies: tuple[str, ...] | None = None
 
     @property
     def kind(self) -> SchemaKind:
@@ -202,26 +193,6 @@ def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
     if violations:
         raise DatasetValidationError(violations)
     return samples
-
-
-def sample_to_obj(sample: Sample) -> dict:
-    obj: dict[str, Any] = {
-        "id": sample.id,
-        "dialogue": [
-            {"speaker": u.speaker, "text": u.text} for u in sample.dialogue.utterances
-        ],
-        "gold_response": sample.gold_response,
-    }
-    if sample.kind is SchemaKind.FOCUS:
-        obj["persona_candidates"] = list(sample.persona_candidates or ())
-        obj["document_candidates"] = list(sample.document_candidates or ())
-        if sample.gold_persona_indices is not None:
-            obj["gold_persona_indices"] = list(sample.gold_persona_indices)
-        if sample.gold_document_index is not None:
-            obj["gold_document_index"] = sample.gold_document_index
-    else:
-        obj["gold_strategies"] = list(sample.gold_strategies or ())
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
 """Execution of the multi-persona pipeline and its five baselines.
 
-Each method maps a sample to a RunRecord through a fixed call pattern:
+`FLOWS` holds one flow per supported (method, dataset shape) pair; each
+maps a sample to a RunRecord through a fixed call pattern:
 
 * tpe (multi-source): thinker -> planner -> execute plan -> executor.
 * tpe (multi-strategy): thinker -> one merged planner/executor call whose
   parsed fragments concatenate into the response (no rewriting).
 * cot: fixed-order retrieval (multi-source only), then a single call.
-* cuecot: status inference call, then a response call conditioned on it.
+* cuecot (multi-strategy only): status inference call, then a response
+  call conditioned on it.
 * react: interleaved thought/action/observation loop with a hard call budget.
-* rewoo: one planner call, execute all steps, one solver call.
+* rewoo (multi-source only): one planner call, execute all steps, one
+  solver call.
 * chameleon: one module-sequence call, then per-module execution; strategy
   modules run independently (deliberately: that independence is the
   baseline's known weakness and is preserved, not fixed).
+
+Every retrieval, whichever flow asks for it, goes through `_Run.retrieve`.
+A pair missing from `FLOWS` is a ConfigError when the MethodConfig is built.
 
 Failures never abort a batch: parse and execution errors are captured in
 the record's error descriptor, and plan-shaped methods fall back to
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -36,11 +42,9 @@ from conductor.backend import (
     compute_cost,
 )
 from conductor.core import (
-    Demonstration,
     ErrorInfo,
-    EvidenceStore,
     Evidence,
-    PromptTemplate,
+    EvidenceStore,
     RunRecord,
     SchemaKind,
     Thought,
@@ -63,8 +67,6 @@ from conductor.errors import (
 from conductor.plangrammar import (
     Finish,
     ReActStep,
-    SourcePlanProgram,
-    StrategyCall,
     StrategyPlanStep,
     ToolCall,
     parse_module_list,
@@ -74,13 +76,14 @@ from conductor.plangrammar import (
     substitute_vars,
 )
 from conductor.profiles import DatasetProfile, profile_for
-from conductor.retrieval import Bm25Retriever, Corpus, Retriever, enrich_query
+from conductor.retrieval import Bm25Retriever, Corpus, enrich_query
 
 FEWSHOT_STOP = ("Dialogue:",)
 REACT_STOP = ("Observation:", "Dialogue:")
 FRAGMENT_STOP = ("Thought:", "Action:", "Dialogue:")
 
-RetrieverFactory = Callable[[Corpus], Retriever]
+TPE_SIGIL = "#So"
+REWOO_SIGIL = "#E"
 
 
 class Method(Enum):
@@ -97,9 +100,7 @@ class MethodConfig:
     method: Method
     dataset_kind: SchemaKind
     model_id: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    top_p: float = 0.1
-    demo_ids: tuple[int, ...] | None = None  # None = the full committed bank
+    demo_count: int | None = None  # None = the full committed bank
     k_retrieved: int = 1
     include_thought_in_planner: bool = True
     include_thought_in_executor: bool = True
@@ -107,42 +108,22 @@ class MethodConfig:
     include_tool_descriptions: bool = True
     enrich_query_with_status: bool = True
     react_max_steps: int = 8
-    sigil: str = ""
 
     def __post_init__(self) -> None:
         if self.k_retrieved < 1:
-            raise ValueError("k_retrieved must be >= 1")
+            raise ConfigError("k_retrieved must be >= 1")
         if self.react_max_steps < 1:
-            raise ValueError("react_max_steps must be >= 1")
-        if not self.sigil:
-            default = "#E" if self.method is Method.REWOO else "#So"
-            object.__setattr__(self, "sigil", default)
-
-
-def default_retriever_factory(corpus: Corpus) -> Retriever:
-    return Bm25Retriever(corpus)
-
-
-def build_corpora(sample: Sample) -> dict[str, Corpus]:
-    """Per-sample corpora keyed by canonical lowercase source name."""
-    corpora: dict[str, Corpus] = {}
-    if sample.persona_candidates:
-        corpora["persona"] = Corpus(
-            "persona",
-            tuple(
-                (f"persona-{i:02d}", text)
-                for i, text in enumerate(sample.persona_candidates)
-            ),
-        )
-    if sample.document_candidates:
-        corpora["document"] = Corpus(
-            "document",
-            tuple(
-                (f"document-{i:02d}", text)
-                for i, text in enumerate(sample.document_candidates)
-            ),
-        )
-    return corpora
+            raise ConfigError("react_max_steps must be >= 1")
+        supported = [
+            kind
+            for kind in SchemaKind
+            if (self.method, profile_for(kind).is_multi_source) in FLOWS
+        ]
+        if self.dataset_kind not in supported:
+            raise ConfigError(
+                f"{self.method.value} does not run on {self.dataset_kind.value} "
+                f"(supported kinds: {', '.join(kind.value for kind in supported)})"
+            )
 
 
 def combine_middle(fragments: Sequence[str]) -> str:
@@ -150,71 +131,6 @@ def combine_middle(fragments: Sequence[str]) -> str:
     if not fragments:
         raise EmptyPlan("no fragments to combine")
     return " ".join(fragments)
-
-
-def execute_source_plan(
-    program: SourcePlanProgram,
-    context_text: str,
-    corpora: dict[str, Corpus],
-    k: int,
-    retriever_factory: RetrieverFactory = default_retriever_factory,
-    aliases: dict[str, str] | None = None,
-) -> EvidenceStore:
-    """Run plan steps in order, binding each step's retrieval to its variable.
-
-    Each step only ever consults the corpus of its named source; queries are
-    resolved against earlier bindings before retrieval.
-    """
-    aliases = aliases or {}
-    store = EvidenceStore()
-    retrievers: dict[str, Retriever] = {}
-    for step in program.steps:
-        canonical = aliases.get(step.source_name.lower(), step.source_name.lower())
-        if canonical not in corpora:
-            raise UnknownTool(step.source_name)
-        if canonical not in retrievers:
-            retrievers[canonical] = retriever_factory(corpora[canonical])
-        query = substitute_vars(step.query, store, context_text)
-        passages = retrievers[canonical].retrieve(query, k)
-        store.bind(
-            step.output_var,
-            Evidence(
-                variable=step.output_var,
-                source_name=step.source_name,
-                resolved_query=query,
-                passages=tuple(passages),
-            ),
-        )
-    return store
-
-
-def react_observation(
-    action: ToolCall,
-    context_text: str,
-    corpora: dict[str, Corpus],
-    k: int,
-    retriever_factory: RetrieverFactory = default_retriever_factory,
-    aliases: dict[str, str] | None = None,
-) -> tuple[str, Evidence]:
-    """Observation text for a retrieval action; "context" resolves to the
-    dialogue. Strategy calls never reach here; their observation is the
-    model's own next generation, produced by the loop."""
-    aliases = aliases or {}
-    canonical = aliases.get(action.name.lower(), action.name.lower())
-    if canonical not in corpora:
-        raise UnknownTool(action.name)
-    query = action.argument.strip()
-    if query == "context" or not query:
-        query = context_text
-    passages = retriever_factory(corpora[canonical]).retrieve(query, k)
-    text = " ".join(p for _, p, _ in passages)
-    evidence = Evidence(
-        variable="",  # caller assigns the variable name when binding
-        source_name=action.name,
-        resolved_query=query,
-        passages=tuple(passages),
-    )
-    return text, evidence
 
 
 _BARE_ASSIGNMENT = re.compile(r"^\s*#\w+\s*=")
@@ -239,20 +155,13 @@ def with_cue(cue: str, generation: str) -> str:
 class _Run:
     """Per-sample execution state: backend calls, evidence, trace fields."""
 
-    def __init__(
-        self,
-        sample: Sample,
-        config: MethodConfig,
-        backend: Backend,
-        retriever_factory: RetrieverFactory,
-    ):
+    def __init__(self, sample: Sample, config: MethodConfig, backend: Backend):
         self.sample = sample
         self.config = config
         self.backend = backend
-        self.retriever_factory = retriever_factory
         self.profile: DatasetProfile = profile_for(config.dataset_kind)
         self.context_text = render_dialogue(sample.dialogue)
-        self.corpora = build_corpora(sample)
+        self.retrievers: dict[str, Bm25Retriever] = {}
         self.generations: list[Generation] = []
         self.thought: Thought | None = None
         self.raw_plan_text = ""
@@ -262,37 +171,19 @@ class _Run:
         self.error: ErrorInfo | None = None
 
     def complete(self, prompt: str, stop: tuple[str, ...] = FEWSHOT_STOP) -> str:
-        request = CompletionRequest.from_prompt(
-            prompt,
-            self.config.model_id,
-            temperature=self.config.temperature,
-            top_p=self.config.top_p,
-            stop=stop,
-        )
+        request = CompletionRequest.from_prompt(prompt, self.config.model_id, stop=stop)
         generation = self.backend.complete(request)
         self.generations.append(generation)
         return generation.text
 
-    def demos(self, method: str) -> list[Demonstration]:
-        bank = select_demonstrations(self.config.dataset_kind, method)
-        if self.config.demo_ids is None:
-            return bank
-        for i in self.config.demo_ids:
-            if not 0 <= i < len(bank):
-                raise ConfigError(
-                    f"demo id {i} out of range for "
-                    f"{self.config.dataset_kind.value}/{method} (bank has {len(bank)})"
-                )
-        return [bank[i] for i in self.config.demo_ids]
-
     def demo_slot(self, method: str, view: str, include_thought: bool = True) -> str:
+        demos = select_demonstrations(
+            self.config.dataset_kind, method, count=self.config.demo_count
+        )
         return render_demo_slot(
             render_demonstration(demo, view, include_thought=include_thought)
-            for demo in self.demos(method)
+            for demo in demos
         )
-
-    def template(self, name: str) -> PromptTemplate:
-        return load_template(name)
 
     def toolset_lines(self, toolset: ToolSet) -> str:
         return render_toolset(
@@ -307,6 +198,35 @@ class _Run:
             status = self.thought.text
         return enrich_query(self.context_text, status)
 
+    def retrieve(self, variable: str, label: str, query: str) -> Evidence:
+        """Bind the top-k passages for `query` to `variable`.
+
+        `label` names the source as the plan (or module list, or action)
+        wrote it; the profile's aliases resolve it, and it is kept verbatim
+        on the evidence. Each source's index is built at most once per run,
+        from the sample's candidates.
+        """
+        source = self.profile.resolve_source(label)
+        retriever = self.retrievers.get(source)
+        if retriever is None:
+            texts = {
+                "persona": self.sample.persona_candidates,
+                "document": self.sample.document_candidates,
+            }[source]
+            if not texts:
+                raise UnknownTool(label)
+            docs = tuple((f"{source}-{i:02d}", text) for i, text in enumerate(texts))
+            retriever = self.retrievers[source] = Bm25Retriever(Corpus(source, docs))
+        passages = retriever.retrieve(query, self.config.k_retrieved)
+        evidence = Evidence(
+            variable=variable,
+            source_name=label,
+            resolved_query=query,
+            passages=tuple(passages),
+        )
+        self.store.bind(variable, evidence)
+        return evidence
+
     def fail(self, exc: ConductorError, fallback_response: str = "") -> None:
         self.error = ErrorInfo(kind=type(exc).__name__, detail=str(exc))
         if fallback_response and not self.response:
@@ -320,7 +240,6 @@ def run_method(
     sample: Sample,
     config: MethodConfig,
     backend: Backend,
-    retriever_factory: RetrieverFactory = default_retriever_factory,
     prices: PriceTable = DEFAULT_PRICES,
 ) -> RunRecord:
     """Execute one sample through the configured pipeline.
@@ -328,17 +247,9 @@ def run_method(
     Backend and plan failures are captured in the record's error field; a
     batch never aborts on a single sample.
     """
-    run = _Run(sample, config, backend, retriever_factory)
-    dispatch = {
-        Method.TPE: _run_tpe,
-        Method.COT: _run_cot,
-        Method.REACT: _run_react,
-        Method.REWOO: _run_rewoo,
-        Method.CHAMELEON: _run_chameleon,
-        Method.CUECOT: _run_cuecot,
-    }
+    run = _Run(sample, config, backend)
     try:
-        dispatch[config.method](run)
+        FLOWS[config.method, run.profile.is_multi_source](run)
     except ConductorError as exc:
         run.fail(exc)
     if run.error is None and not run.response:
@@ -363,14 +274,13 @@ def run_batch(
     samples: Sequence[Sample],
     config: MethodConfig,
     backend: Backend,
-    retriever_factory: RetrieverFactory = default_retriever_factory,
     prices: PriceTable = DEFAULT_PRICES,
     parallelism: int = 1,
 ) -> list[RunRecord]:
     """Run all samples, optionally in parallel; output keeps input order."""
 
     def one(sample: Sample) -> RunRecord:
-        return run_method(sample, config, backend, retriever_factory, prices)
+        return run_method(sample, config, backend, prices)
 
     if parallelism <= 1:
         return [one(sample) for sample in samples]
@@ -383,7 +293,7 @@ def run_batch(
 
 
 def _think(run: _Run) -> str:
-    prompt = run.template(f"tpe_thinker_{run.config.dataset_kind.value}").render(
+    prompt = load_template(f"tpe_thinker_{run.config.dataset_kind.value}").render(
         persona=run.profile.personas["thinker"],
         demos=run.demo_slot("tpe", "thinker"),
         extras="",
@@ -394,52 +304,53 @@ def _think(run: _Run) -> str:
     return text
 
 
+def _planner_extras(run: _Run, thought: str) -> str:
+    if run.config.include_thought_in_planner and thought:
+        return render_extras([("Thought", thought)])
+    return ""
+
+
 def _knowledge_text(store: EvidenceStore) -> str:
     return " ".join(store.text_of(variable) for variable in store.variables())
 
 
-def _run_tpe(run: _Run) -> None:
-    if run.profile.is_multi_source:
-        _run_tpe_source(run)
-    else:
-        _run_tpe_strategy(run)
+def _execute_source_plan(run: _Run, raw: str, sigil: str, context_text: str) -> bool:
+    """Parse a planner's source plan and retrieve its steps in order, each
+    query resolved against the earlier bindings and `context_text`. On any
+    failure the evidence is left empty and the raw generation becomes the
+    response; returns whether the plan ran to the end."""
+    run.raw_plan_text = with_cue("Plan:", raw)
+    try:
+        program = parse_source_plan(run.raw_plan_text, sigil)
+        run.parsed_plan = program
+        for step in program.steps:
+            query = substitute_vars(step.query, run.store, context_text)
+            run.retrieve(step.output_var, step.source_name, query)
+    except ConductorError as exc:
+        run.store = EvidenceStore()
+        run.fail(exc, fallback_response=raw.strip())
+        return False
+    return True
 
 
-def _run_tpe_source(run: _Run) -> None:
+def _run_tpe_sources(run: _Run) -> None:
     thought = _think(run)
-    extras = []
-    if run.config.include_thought_in_planner and thought:
-        extras.append(("Thought", thought))
-    planner_prompt = run.template("tpe_planner_focus").render(
+    planner_prompt = load_template("tpe_planner_focus").render(
         persona=run.profile.personas["planner"],
         toolset=run.toolset_lines(run.profile.source_toolset),
         demos=run.demo_slot(
             "tpe", "planner", include_thought=run.config.include_thought_in_planner
         ),
-        extras=render_extras(extras),
+        extras=_planner_extras(run, thought),
         dialogue=run.context_text,
     )
     raw = run.complete(planner_prompt)
-    run.raw_plan_text = with_cue("Plan:", raw)
-    try:
-        program = parse_source_plan(run.raw_plan_text, run.config.sigil)
-        run.parsed_plan = program
-        run.store = execute_source_plan(
-            program,
-            run.enriched_context(),
-            run.corpora,
-            run.config.k_retrieved,
-            run.retriever_factory,
-            run.profile.source_aliases,
-        )
-    except ConductorError as exc:
-        run.fail(exc, fallback_response=raw.strip())
+    if not _execute_source_plan(run, raw, TPE_SIGIL, run.enriched_context()):
         return
-
     executor_extras = [("Source Knowledge", _knowledge_text(run.store))]
     if run.config.include_thought_in_executor and thought:
         executor_extras.append(("Thought", thought))
-    executor_prompt = run.template("tpe_executor_focus").render(
+    executor_prompt = load_template("tpe_executor_focus").render(
         persona=run.profile.personas["executor"],
         demos="",
         extras=render_extras(executor_extras),
@@ -448,20 +359,15 @@ def _run_tpe_source(run: _Run) -> None:
     run.response = run.complete(executor_prompt).strip()
 
 
-def _run_tpe_strategy(run: _Run) -> None:
+def _run_tpe_strategies(run: _Run) -> None:
     thought = _think(run)
-    extras = []
-    if run.config.include_thought_in_planner and thought:
-        extras.append(("Thought", thought))
-    prompt = run.template(
-        f"tpe_plannerexec_{run.config.dataset_kind.value}"
-    ).render(
+    prompt = load_template(f"tpe_plannerexec_{run.config.dataset_kind.value}").render(
         persona=run.profile.personas["planner_executor"],
         toolset=run.toolset_lines(run.profile.strategy_toolset),
         demos=run.demo_slot(
             "tpe", "planner", include_thought=run.config.include_thought_in_planner
         ),
-        extras=render_extras(extras),
+        extras=_planner_extras(run, thought),
         dialogue=run.context_text,
     )
     raw = run.complete(prompt)
@@ -482,20 +388,9 @@ def _run_cot(run: _Run) -> None:
     if run.profile.is_multi_source:
         # Fixed source order, dialogue context as the query for both calls.
         for i, source in enumerate(("persona", "document"), start=1):
-            passages = run.retriever_factory(run.corpora[source]).retrieve(
-                run.context_text, run.config.k_retrieved
-            )
-            run.store.bind(
-                f"K{i}",
-                Evidence(
-                    variable=f"K{i}",
-                    source_name=source,
-                    resolved_query=run.context_text,
-                    passages=tuple(passages),
-                ),
-            )
+            run.retrieve(f"K{i}", source, run.context_text)
         extras.append(("Source Knowledge", _knowledge_text(run.store)))
-    prompt = run.template(f"cot_{run.config.dataset_kind.value}").render(
+    prompt = load_template(f"cot_{run.config.dataset_kind.value}").render(
         persona=run.profile.personas["cot"],
         demos=run.demo_slot("cot", "response"),
         extras=render_extras(extras),
@@ -506,7 +401,7 @@ def _run_cot(run: _Run) -> None:
 
 def _run_cuecot(run: _Run) -> None:
     kind = run.config.dataset_kind.value
-    status_prompt = run.template(f"cuecot_status_{kind}").render(
+    status_prompt = load_template(f"cuecot_status_{kind}").render(
         persona=run.profile.personas["thinker"],
         demos=run.demo_slot("cuecot", "status"),
         extras="",
@@ -515,7 +410,7 @@ def _run_cuecot(run: _Run) -> None:
     status = run.complete(status_prompt).strip()
     if status:
         run.thought = Thought(status)
-    response_prompt = run.template(f"cuecot_response_{kind}").render(
+    response_prompt = load_template(f"cuecot_response_{kind}").render(
         persona=run.profile.personas["cot"],
         demos=run.demo_slot("cuecot", "status_response"),
         extras=render_extras([("Status", status)] if status else []),
@@ -525,27 +420,14 @@ def _run_cuecot(run: _Run) -> None:
 
 
 def _run_rewoo(run: _Run) -> None:
-    planner_prompt = run.template("rewoo_planner_focus").render(
+    planner_prompt = load_template("rewoo_planner_focus").render(
         demos=run.demo_slot("rewoo", "rewoo"),
         dialogue=run.context_text,
     )
     raw = run.complete(planner_prompt)
-    run.raw_plan_text = with_cue("Plan:", raw)
-    try:
-        program = parse_source_plan(run.raw_plan_text, run.config.sigil)
-        run.parsed_plan = program
-        run.store = execute_source_plan(
-            program,
-            run.context_text,
-            run.corpora,
-            run.config.k_retrieved,
-            run.retriever_factory,
-            run.profile.source_aliases,
-        )
-    except ConductorError as exc:
-        run.fail(exc, fallback_response=raw.strip())
+    if not _execute_source_plan(run, raw, REWOO_SIGIL, run.context_text):
         return
-    solver_prompt = run.template("rewoo_solver_focus").render(
+    solver_prompt = load_template("rewoo_solver_focus").render(
         persona=run.profile.personas["executor"],
         extras=render_extras([("Source Knowledge", _knowledge_text(run.store))]),
         dialogue=run.context_text,
@@ -553,15 +435,14 @@ def _run_rewoo(run: _Run) -> None:
     run.response = run.complete(solver_prompt).strip()
 
 
-def _run_chameleon(run: _Run) -> None:
-    kind = run.config.dataset_kind.value
-    if run.profile.is_multi_source:
-        toolset = run.profile.module_toolset
-        cue, view = "Modules:", "modules"
-    else:
-        toolset = run.profile.strategy_toolset
-        cue, view = "Strategies:", "strategies"
-    planner_prompt = run.template(f"chameleon_planner_{kind}").render(
+def _plan_modules(
+    run: _Run, toolset: ToolSet, cue: str, view: str
+) -> tuple[str, ...] | None:
+    """Chameleon's module-sequence call; None (record failed) when the
+    generation holds no module list."""
+    planner_prompt = load_template(
+        f"chameleon_planner_{run.config.dataset_kind.value}"
+    ).render(
         persona=run.profile.personas["chameleon"],
         toolset=run.toolset_lines(toolset),
         demos=run.demo_slot("chameleon", view),
@@ -570,43 +451,26 @@ def _run_chameleon(run: _Run) -> None:
     raw = run.complete(planner_prompt)
     run.raw_plan_text = with_cue(cue, raw)
     try:
-        names = parse_module_list(run.raw_plan_text)
+        return parse_module_list(run.raw_plan_text)
     except ParseError as exc:
         run.fail(exc, fallback_response=raw.strip())
+        return None
+
+
+def _run_chameleon_sources(run: _Run) -> None:
+    names = _plan_modules(run, run.profile.module_toolset, "Modules:", "modules")
+    if names is None:
         return
-
-    if run.profile.is_multi_source:
-        _chameleon_sources(run, names)
-    else:
-        _chameleon_strategies(run, names)
-
-
-def _chameleon_sources(run: _Run, names: tuple[str, ...]) -> None:
     run.parsed_plan = names
     retrieval_order: list[str] = []
     for name in names:
-        if name == "Answer_Generator":
-            continue
         try:
             retrieval_order.append(run.profile.resolve_source(name))
         except UnknownTool:
-            continue  # unplanned module names are skipped, not fatal
-    if not retrieval_order:
-        retrieval_order = ["persona", "document"]
-    for i, source in enumerate(retrieval_order, start=1):
-        passages = run.retriever_factory(run.corpora[source]).retrieve(
-            run.context_text, run.config.k_retrieved
-        )
-        run.store.bind(
-            f"K{i}",
-            Evidence(
-                variable=f"K{i}",
-                source_name=source,
-                resolved_query=run.context_text,
-                passages=tuple(passages),
-            ),
-        )
-    answer_prompt = run.template("chameleon_answer_focus").render(
+            continue  # Answer_Generator and unplanned module names are skipped
+    for i, source in enumerate(retrieval_order or ("persona", "document"), start=1):
+        run.retrieve(f"K{i}", source, run.context_text)
+    answer_prompt = load_template("chameleon_answer_focus").render(
         persona=run.profile.personas["executor"],
         demos=run.demo_slot("cot", "response"),
         extras=render_extras([("Source Knowledge", _knowledge_text(run.store))]),
@@ -615,9 +479,13 @@ def _chameleon_sources(run: _Run, names: tuple[str, ...]) -> None:
     run.response = run.complete(answer_prompt).strip()
 
 
-def _chameleon_strategies(run: _Run, names: tuple[str, ...]) -> None:
-    kind = run.config.dataset_kind.value
-    template = run.template(f"chameleon_strategy_{kind}")
+def _run_chameleon_strategies(run: _Run) -> None:
+    names = _plan_modules(
+        run, run.profile.strategy_toolset, "Strategies:", "strategies"
+    )
+    if names is None:
+        return
+    template = load_template(f"chameleon_strategy_{run.config.dataset_kind.value}")
     steps: list[StrategyPlanStep] = []
     for i, name in enumerate(
         (n for n in names if n != "Answer_Generator"), start=1
@@ -646,8 +514,7 @@ def _chameleon_strategies(run: _Run, names: tuple[str, ...]) -> None:
 
 
 def _run_react(run: _Run) -> None:
-    kind = run.config.dataset_kind.value
-    template = run.template(f"react_{kind}")
+    template = load_template(f"react_{run.config.dataset_kind.value}")
     demos = run.demo_slot("react", "react")
     scratchpad = ""
     calls_used = 0
@@ -676,31 +543,18 @@ def _run_react(run: _Run) -> None:
             run.response = step.action.response.strip()
             return
         if isinstance(step.action, ToolCall):
+            # "context" (or nothing) as the argument queries with the dialogue.
+            query = step.action.argument.strip()
+            if query in ("context", ""):
+                query = run.context_text
             try:
-                obs_text, evidence = react_observation(
-                    step.action,
-                    run.context_text,
-                    run.corpora,
-                    run.config.k_retrieved,
-                    run.retriever_factory,
-                    run.profile.source_aliases,
-                )
+                evidence = run.retrieve(f"Obs{obs_count + 1}", step.action.name, query)
             except UnknownTool as exc:
                 run.raw_plan_text = scratchpad + last_text
                 run.fail(exc, fallback_response=last_text)
                 return
             obs_count += 1
-            variable = f"Obs{obs_count}"
-            run.store.bind(
-                variable,
-                Evidence(
-                    variable=variable,
-                    source_name=evidence.source_name,
-                    resolved_query=evidence.resolved_query,
-                    passages=evidence.passages,
-                ),
-            )
-            scratchpad += f"{last_text}\nObservation: {obs_text}\n"
+            scratchpad += f"{last_text}\nObservation: {evidence.text()}\n"
             continue
         # Strategy call: either compose the final response or ask the model
         # for the strategy's fragment as the next observation.
@@ -733,3 +587,18 @@ def _run_react(run: _Run) -> None:
         f"no Finish after {run.config.react_max_steps} calls; "
         "last generation used as the response",
     )
+
+
+# The supported pairs: (method, dataset is multi-source) -> flow.
+FLOWS: dict[tuple[Method, bool], Callable[[_Run], None]] = {
+    (Method.TPE, True): _run_tpe_sources,
+    (Method.TPE, False): _run_tpe_strategies,
+    (Method.COT, True): _run_cot,
+    (Method.COT, False): _run_cot,
+    (Method.REACT, True): _run_react,
+    (Method.REACT, False): _run_react,
+    (Method.REWOO, True): _run_rewoo,
+    (Method.CHAMELEON, True): _run_chameleon_sources,
+    (Method.CHAMELEON, False): _run_chameleon_strategies,
+    (Method.CUECOT, False): _run_cuecot,
+}

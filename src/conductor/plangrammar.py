@@ -3,8 +3,8 @@
 Four textual plan formats are covered:
 
 * source plans: "Plan: ..." description lines paired with variable
-  assignments like ``#So1 = PERSONA[context]`` (the sigil is configurable,
-  ``#So`` and ``#E`` are the two in use);
+  assignments like ``#So1 = PERSONA[context]`` (the sigil is fixed per
+  method: ``#So`` for tpe, ``#E`` for rewoo);
 * strategy plans: alternating ``Plan: <name>`` / ``Do: <fragment>`` lines;
 * reasoning/acting steps: the newest ``Thought:``/``Action:`` continuation
   of a scratchpad, where the action is a bracketed tool call, a bare
@@ -17,10 +17,10 @@ surrounding whitespace, and ignores prose before and after the structured
 region. Parsers are pure and never raise anything but ParseError /
 DanglingReference on arbitrary input.
 
-Validation against a toolset is separate from parsing: unknown source names
-fail validation with UnknownTool, while unknown strategy names are kept;
-models invent combined strategies and the distribution analysis wants them
-verbatim.
+Source names are not checked here: the pipeline resolves them through the
+dataset profile's aliases when the plan executes, and an unknown one fails
+the record with UnknownTool. Unknown strategy names are kept; models invent
+combined strategies and the distribution analysis wants them verbatim.
 """
 
 from __future__ import annotations
@@ -29,13 +29,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from conductor.core import EvidenceStore, ToolSet
-from conductor.errors import (
-    DanglingReference,
-    ParseError,
-    UnboundVariable,
-    UnknownTool,
-)
+from conductor.core import EvidenceStore
+from conductor.errors import DanglingReference, ParseError, UnboundVariable
 
 CONTEXT_KEYWORD = "context"
 
@@ -85,14 +80,6 @@ class SourcePlanStep:
 @dataclass(frozen=True)
 class SourcePlanProgram:
     steps: tuple[SourcePlanStep, ...]
-
-    def validate_sources(self, toolset: ToolSet, aliases: dict[str, str]) -> None:
-        """Every step's source must resolve to a tool in the active set."""
-        known = {name.lower() for name in toolset.names()}
-        for step in self.steps:
-            resolved = aliases.get(step.source_name.lower(), step.source_name.lower())
-            if resolved not in known:
-                raise UnknownTool(step.source_name)
 
 
 @dataclass(frozen=True)
@@ -291,18 +278,6 @@ def render_strategy_plan(steps: tuple[StrategyPlanStep, ...]) -> str:
         lines.append(f"Plan: {step.strategy_name}")
         lines.append(f"Do: {step.fragment}")
     return "\n".join(lines)
-
-
-def unknown_strategy_names(
-    steps: tuple[StrategyPlanStep, ...], toolset: ToolSet
-) -> tuple[str, ...]:
-    """Names not present in the toolset; recorded, never fatal."""
-    known = set(toolset.names())
-    seen: list[str] = []
-    for step in steps:
-        if step.strategy_name not in known and step.strategy_name not in seen:
-            seen.append(step.strategy_name)
-    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

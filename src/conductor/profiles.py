@@ -466,7 +466,6 @@ class DatasetProfile:
     strategy_toolset: ToolSet | None = None
     module_toolset: ToolSet | None = None
     source_aliases: dict[str, str] = field(default_factory=dict)
-    demo_count: int = 3
 
     @property
     def is_multi_source(self) -> bool:
@@ -495,19 +494,16 @@ PROFILES: dict[SchemaKind, DatasetProfile] = {
             "knowledge_retrieval": "document",
             "document_retrieval": "document",
         },
-        demo_count=3,
     ),
     SchemaKind.CIMA: DatasetProfile(
         kind=SchemaKind.CIMA,
         personas=CIMA_PERSONAS,
         strategy_toolset=CIMA_STRATEGIES,
-        demo_count=3,
     ),
     SchemaKind.PSYQA: DatasetProfile(
         kind=SchemaKind.PSYQA,
         personas=PSYQA_PERSONAS,
         strategy_toolset=PSYQA_STRATEGIES,
-        demo_count=2,
     ),
 }
 

@@ -2,9 +2,7 @@
 
 Candidate pools are tiny (five persona and ten document candidates per
 sample), so indices are built on the fly per sample and scoring is exact:
-no heaps, no caching, no persistence. The retriever interface is abstract so
-a dense retriever can be plugged in later; BM25 is the only shipped
-implementation.
+no heaps, no persistence.
 
 The tokenizer is shared with the metrics module: lowercase, split on
 whitespace and punctuation, and every CJK codepoint becomes its own term so
@@ -152,14 +150,9 @@ def enrich_query(dialogue_text: str, internal_status: str | None = None) -> str:
     return f"{dialogue_text}\n{internal_status}"
 
 
-class Retriever:
-    """Pluggable (query, k) -> ranked passages seam; BM25 is the shipped one."""
+class Bm25Retriever:
+    """(query, k) -> ranked passages over one corpus."""
 
-    def retrieve(self, query: str, k: int) -> list[tuple[str, str, float]]:
-        raise NotImplementedError
-
-
-class Bm25Retriever(Retriever):
     def __init__(self, corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B):
         self.index = build_index(corpus, k1=k1, b=b)
 

@@ -78,6 +78,29 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "method,kind,extra",
+        [
+            ("cuecot", "focus", []),
+            ("rewoo", "cima", []),
+            ("rewoo", "psyqa", []),
+            ("tpe", "focus", ["--k", "0"]),
+            ("react", "focus", ["--react-max-steps", "0"]),
+        ],
+    )
+    def test_invalid_configuration_exits_two_up_front(
+        self, tmp_path, capsys, method, kind, extra
+    ):
+        out = tmp_path / "x.jsonl"
+        dataset = FOCUS if kind == "focus" else CIMA
+        code = main(
+            ["run", "--method", method, "--kind", kind, "--dataset", dataset,
+             "--backend", f"replay:{REPLAY}", "--out", str(out), *extra]
+        )
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_override_within_bank_runs(self, tmp_path):
         # fewer demos change the prompts, so the canned completions miss;
         # the run must still complete with recorded failures, not crash

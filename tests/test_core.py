@@ -8,20 +8,15 @@ from conductor.core import (
     Dialogue,
     Evidence,
     EvidenceStore,
-    PersonaSpec,
-    PersonaRole,
     PromptTemplate,
     SchemaKind,
     Thought,
     ToolKind,
     Utterance,
-    assemble_prompt,
     load_template,
-    parse_dialogue_text,
     render_demo_slot,
     render_demonstration,
     render_dialogue,
-    render_extras,
     render_toolset,
 )
 from conductor.errors import MissingSection
@@ -58,10 +53,6 @@ class TestTypes:
     def test_thought_nonempty(self):
         with pytest.raises(ValueError):
             Thought("   ")
-
-    def test_persona_nonempty(self):
-        with pytest.raises(ValueError):
-            PersonaSpec(role=PersonaRole.THINKER, persona_text="")
 
     def test_demonstration_needs_some_field(self):
         with pytest.raises(ValueError):
@@ -125,8 +116,12 @@ class TestRenderDialogue:
             turns.append((speaker, text))
         turns.reverse()
         dialogue = _dialogue(*turns)
-        recovered = parse_dialogue_text(render_dialogue(dialogue), "d", SchemaKind.FOCUS)
-        assert recovered.utterances == dialogue.utterances
+        # tab-separated "ROLE: text" segments give the utterances back
+        recovered = tuple(
+            Utterance(*segment.split(": ", 1))
+            for segment in render_dialogue(dialogue).split("\t")
+        )
+        assert recovered == dialogue.utterances
 
 
 class TestRenderToolset:
@@ -159,53 +154,6 @@ class TestRenderToolset:
         from conductor.core import ToolSet, ToolKind
 
         assert render_toolset(ToolSet(kind=ToolKind.SOURCE, tools=())) == ""
-
-
-class TestAssemblePrompt:
-    def test_minimal_thinker_shape(self):
-        prompt = assemble_prompt(
-            persona="You are the thinker.",
-            dialogue_text="USER: Hi",
-            cue="Thought:",
-        )
-        assert prompt == "You are the thinker.\n\nDialogue: USER: Hi\nThought:"
-
-    def test_evidence_precedes_dialogue(self):
-        prompt = assemble_prompt(
-            persona="Executor.",
-            dialogue_text="USER: Hi",
-            cue="Response:",
-            extras=[("Source Knowledge", "some passage")],
-        )
-        assert prompt.index("Source Knowledge:") < prompt.index("Dialogue:")
-
-    def test_pure_function(self):
-        args = dict(
-            persona="P",
-            dialogue_text="USER: Hi",
-            cue="Plan:",
-            toolset_doc="- A: a tool",
-            demos=["Dialogue: USER: x\nPlan: y"],
-            extras=[("Thought", "t")],
-        )
-        assert assemble_prompt(**args) == assemble_prompt(**args)
-
-    def test_matches_template_rendering(self):
-        # the committed executor template encodes the same fixed ordering
-        template = load_template("tpe_executor_focus")
-        via_template = template.render(
-            persona="Executor.",
-            demos="",
-            extras=render_extras([("Source Knowledge", "K")]),
-            dialogue="USER: Hi",
-        )
-        via_assemble = assemble_prompt(
-            persona="Executor.",
-            dialogue_text="USER: Hi",
-            cue="Response:",
-            extras=[("Source Knowledge", "K")],
-        )
-        assert via_template == via_assemble
 
 
 class TestPromptTemplate:

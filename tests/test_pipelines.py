@@ -1,26 +1,26 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import FIXTURES, QueueBackend
+from conductor import retrieval
 from conductor.backend import ReplayBackend
-from conductor.core import SchemaKind, render_toolset
-from conductor.data import load_dataset
-from conductor.errors import EmptyPlan, UnknownTool
+from conductor.core import Dialogue, SchemaKind, Utterance, render_toolset
+from conductor.data import Sample, load_dataset
+from conductor.errors import ConfigError, EmptyPlan, UnknownTool
 from conductor.pipelines import (
     Method,
     MethodConfig,
-    build_corpora,
+    _Run,
     combine_middle,
-    execute_source_plan,
-    react_observation,
     run_batch,
     run_method,
     with_cue,
 )
-from conductor.plangrammar import ToolCall, parse_source_plan
 from conductor.profiles import FOCUS_SOURCES
-from conductor.retrieval import Corpus
+from conductor.retrieval import Bm25Retriever
 
 
 def _replay() -> ReplayBackend:
@@ -62,116 +62,150 @@ class TestWithCue:
         assert with_cue("Plan:", "#So1 = PERSONA[context]") == "#So1 = PERSONA[context]"
 
 
-def _toy_corpora() -> dict[str, Corpus]:
-    return {
-        "persona": Corpus(
-            "persona",
-            (
-                ("persona-00", "I like living in a city. I don't hope to ever visit New Zealand."),
-                ("persona-01", "I enjoy hiking in the mountains."),
-            ),
+def _toy_sample() -> Sample:
+    return Sample(
+        id="toy",
+        dialogue=Dialogue(
+            id="toy",
+            utterances=(Utterance("USER", "I know this place, but I don't remember."),),
+            schema_kind=SchemaKind.FOCUS,
         ),
-        "document": Corpus(
-            "document",
-            (
-                ("document-00", "Newton is a small suburb of Auckland City, New Zealand."),
-                ("document-01", "The Sahara is the largest hot desert."),
-            ),
+        gold_response="",
+        persona_candidates=(
+            "I like living in a city. I don't hope to ever visit New Zealand.",
+            "I enjoy hiking in the mountains.",
         ),
-    }
+        document_candidates=(
+            "Newton is a small suburb of Auckland City, New Zealand.",
+            "The Sahara is the largest hot desert.",
+        ),
+    )
 
 
-ALIASES = {"knowledge": "document"}
+def _toy_run() -> _Run:
+    config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
+    return _Run(_toy_sample(), config, QueueBackend())
+
+
+@pytest.fixture
+def consulted(monkeypatch):
+    """(source, query) of every retrieval, in call order."""
+    calls = []
+    original = Bm25Retriever.retrieve
+
+    def tap(self, query, k):
+        calls.append((self.index.corpus.source_name, query))
+        return original(self, query, k)
+
+    monkeypatch.setattr(Bm25Retriever, "retrieve", tap)
+    return calls
+
+
+class TestRetrieve:
+    def test_source_without_candidates_is_unknown(self):
+        run = _toy_run()
+        run.sample = replace(run.sample, persona_candidates=())
+        with pytest.raises(UnknownTool):
+            run.retrieve("So1", "PERSONA", "ctx")
+
+    def test_each_index_built_once_per_run(self, monkeypatch):
+        built = []
+        original = retrieval.build_index
+
+        def counting(corpus, *args, **kwargs):
+            built.append(corpus.source_name)
+            return original(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "build_index", counting)
+        run = _toy_run()
+        for variable, label in (("K1", "persona"), ("K2", "KNOWLEDGE"), ("K3", "Persona")):
+            run.retrieve(variable, label, "city")
+        assert built == ["persona", "document"]
 
 
 class TestExecuteSourcePlan:
+    """A TPE plan run end to end: each step retrieves through the profile's
+    aliases and binds its variable in plan order."""
+
+    def _run(self, plan, k=1):
+        backend = QueueBackend("", plan, "resp")
+        config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS, k_retrieved=k)
+        return run_method(_toy_sample(), config, backend)
+
     def test_single_literal_step(self):
-        program = parse_source_plan("Plan: a\n#So1 = DOCUMENT[Newton suburb]", "#So")
-        store = execute_source_plan(program, "ctx", _toy_corpora(), 1, aliases=ALIASES)
-        assert store.variables() == ("So1",)
-        evidence = store.get("So1")
-        assert len(evidence.passages) == 1
-        assert evidence.passages[0][0] == "document-00"
+        record = self._run("Plan: a\n#So1 = DOCUMENT[Newton suburb]")
+        assert record.evidence.variables() == ("So1",)
+        evidence = record.evidence.get("So1")
+        assert evidence.resolved_query == "Newton suburb"
+        assert [doc_id for doc_id, _, _ in evidence.passages] == ["document-00"]
 
     def test_dependency_feeds_second_query(self):
-        program = parse_source_plan(
-            "Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[#So1]", "#So"
-        )
-        store = execute_source_plan(
-            program, "USER: I know this place, but I don't remember.", _toy_corpora(), 1,
-            aliases=ALIASES,
-        )
-        first = store.get("So1")
-        second = store.get("So2")
+        record = self._run("Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[#So1]")
+        assert record.error is None
+        first, second = record.evidence.get("So1"), record.evidence.get("So2")
+        assert first.resolved_query == "USER: I know this place, but I don't remember."
         assert second.resolved_query == first.text()
         assert second.passages[0][0] == "document-00"
 
     def test_knowledge_alias_resolves_to_document(self):
-        program = parse_source_plan("Plan: a\n#So1 = KNOWLEDGE[Newton]", "#So")
-        store = execute_source_plan(program, "ctx", _toy_corpora(), 1, aliases=ALIASES)
-        assert store.get("So1").passages[0][0] == "document-00"
+        record = self._run("Plan: a\n#So1 = KNOWLEDGE[Newton]")
+        evidence = record.evidence.get("So1")
+        assert evidence.passages[0][0] == "document-00"
+        assert evidence.source_name == "KNOWLEDGE"
 
     def test_unknown_source(self):
-        program = parse_source_plan("Plan: a\n#So1 = WEB[context]", "#So")
-        with pytest.raises(UnknownTool):
-            execute_source_plan(program, "ctx", _toy_corpora(), 1, aliases=ALIASES)
+        record = self._run("Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = WEB[context]")
+        assert record.error.kind == "UnknownTool"
+        assert len(record.evidence) == 0
 
-    def test_only_the_named_source_is_consulted(self):
-        from conductor.retrieval import Bm25Retriever
-
-        consulted = []
-
-        def counting_factory(corpus):
-            retriever = Bm25Retriever(corpus)
-
-            class Tap:
-                def retrieve(self, query, k):
-                    consulted.append((corpus.source_name, query))
-                    return retriever.retrieve(query, k)
-
-            return Tap()
-
-        program = parse_source_plan(
-            "Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[#So1]", "#So"
-        )
-        execute_source_plan(
-            program, "ctx city", _toy_corpora(), 1,
-            retriever_factory=counting_factory, aliases=ALIASES,
-        )
+    def test_only_the_named_source_is_consulted(self, consulted):
+        self._run("Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = KNOWLEDGE[#So1]")
         assert [source for source, _ in consulted] == ["persona", "document"]
 
     def test_binds_one_variable_per_step_in_order(self):
-        program = parse_source_plan(
+        record = self._run(
             "Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[context]\n"
             "Plan: c\n#So3 = PERSONA[#So2]",
-            "#So",
+            k=2,
         )
-        store = execute_source_plan(program, "city", _toy_corpora(), 2, aliases=ALIASES)
-        assert store.variables() == ("So1", "So2", "So3")
+        assert record.evidence.variables() == ("So1", "So2", "So3")
+        assert [record.evidence.get(v).source_name for v in ("So1", "So2", "So3")] == [
+            "PERSONA",
+            "DOCUMENT",
+            "PERSONA",
+        ]
 
 
 class TestReactObservation:
-    def test_tool_call_retrieves(self):
-        text, evidence = react_observation(
-            ToolCall("Knowledge", "New Zealand"), "ctx", _toy_corpora(), 1, aliases=ALIASES
-        )
-        assert "Newton" in text
-        assert evidence.source_name == "Knowledge"
+    def _run(self, *steps):
+        config = MethodConfig(method=Method.REACT, dataset_kind=SchemaKind.FOCUS)
+        return run_method(_toy_sample(), config, QueueBackend(*steps))
 
-    def test_context_argument_uses_dialogue(self):
-        text, evidence = react_observation(
-            ToolCall("Persona", "context"),
-            "USER: I know this place, but I don't remember.",
-            _toy_corpora(),
-            1,
-            aliases=ALIASES,
+    def test_tool_call_retrieves(self):
+        record = self._run(
+            "Thought: look\nAction: Knowledge[New Zealand]",
+            "Thought: done\nAction: Finish[ok]",
         )
-        assert evidence.resolved_query.startswith("USER: I know this place")
-        assert "city" in text
+        evidence = record.evidence.get("Obs1")
+        assert "Newton" in evidence.text()
+        assert evidence.source_name == "Knowledge"
+        assert evidence.resolved_query == "New Zealand"
+
+    def test_context_argument_uses_dialogue(self, consulted):
+        # "context" and an empty argument both query with the dialogue
+        record = self._run(
+            "Thought: a\nAction: Persona[context]",
+            "Thought: b\nAction: Persona[ ]",
+            "Thought: done\nAction: Finish[ok]",
+        )
+        dialogue = "USER: I know this place, but I don't remember."
+        assert consulted == [("persona", dialogue), ("persona", dialogue)]
+        assert "city" in record.evidence.text_of("Obs1")
 
     def test_unknown_tool(self):
-        with pytest.raises(UnknownTool):
-            react_observation(ToolCall("Web", "x"), "ctx", _toy_corpora(), 1, aliases=ALIASES)
+        record = self._run("Thought: look\nAction: Web[x]")
+        assert record.error.kind == "UnknownTool"
+        assert len(record.evidence) == 0
 
 
 class TestTpeFocusFlow:
@@ -309,7 +343,6 @@ class TestOtherBaselines:
         config = MethodConfig(method=Method.REWOO, dataset_kind=SchemaKind.FOCUS)
         record = run_method(_focus_samples()[1], config, _replay())
         assert record.error is None
-        assert config.sigil == "#E"
         assert record.evidence.variables() == ("E1", "E2")
         assert len(record.usages) == 2
 
@@ -386,7 +419,7 @@ class TestAblations:
     def test_zero_shot_demo_override(self):
         backend = QueueBackend("the answer")
         config = MethodConfig(
-            method=Method.COT, dataset_kind=SchemaKind.CIMA, demo_ids=()
+            method=Method.COT, dataset_kind=SchemaKind.CIMA, demo_count=0
         )
         record = run_method(_cima_samples()[0], config, backend)
         assert record.error is None
@@ -477,20 +510,26 @@ class TestKSweep:
 
 class TestMethodConfig:
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS, k_retrieved=0)
 
     def test_react_steps_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MethodConfig(
                 method=Method.REACT, dataset_kind=SchemaKind.CIMA, react_max_steps=0
             )
 
-    def test_sigil_defaults_by_method(self):
-        tpe = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
-        rewoo = MethodConfig(method=Method.REWOO, dataset_kind=SchemaKind.FOCUS)
-        assert tpe.sigil == "#So"
-        assert rewoo.sigil == "#E"
+    @pytest.mark.parametrize(
+        "method,kind,supported",
+        [
+            (Method.CUECOT, SchemaKind.FOCUS, "cima, psyqa"),
+            (Method.REWOO, SchemaKind.CIMA, "focus"),
+            (Method.REWOO, SchemaKind.PSYQA, "focus"),
+        ],
+    )
+    def test_unsupported_pair_names_the_supported_kinds(self, method, kind, supported):
+        with pytest.raises(ConfigError, match=f"supported kinds: {supported}"):
+            MethodConfig(method=method, dataset_kind=kind)
 
 
 class TestBatch:
@@ -503,7 +542,14 @@ class TestBatch:
         assert [r.sample_id for r in parallel] == ["f1", "f2", "f3"]
 
     def test_corpora_built_per_sample(self):
-        corpora = build_corpora(_focus_samples()[0])
-        assert set(corpora) == {"persona", "document"}
-        assert len(corpora["persona"].docs) == 5
-        assert len(corpora["document"].docs) == 10
+        sample = _focus_samples()[0]
+        config = MethodConfig(method=Method.COT, dataset_kind=SchemaKind.FOCUS, k_retrieved=20)
+        run = _Run(sample, config, QueueBackend())
+        personas = run.retrieve("K1", "persona", run.context_text)
+        documents = run.retrieve("K2", "document", run.context_text)
+        assert sorted(doc_id for doc_id, _, _ in personas.passages) == [
+            f"persona-{i:02d}" for i in range(5)
+        ]
+        assert sorted(doc_id for doc_id, _, _ in documents.passages) == [
+            f"document-{i:02d}" for i in range(10)
+        ]

@@ -8,7 +8,6 @@ from conductor.errors import (
     DanglingReference,
     ParseError,
     UnboundVariable,
-    UnknownTool,
 )
 from conductor.plangrammar import (
     ContextRef,
@@ -28,9 +27,7 @@ from conductor.plangrammar import (
     render_source_plan,
     render_strategy_plan,
     substitute_vars,
-    unknown_strategy_names,
 )
-from conductor.profiles import CIMA_STRATEGIES, FOCUS_SOURCES
 
 
 class TestParseSourcePlan:
@@ -103,13 +100,6 @@ class TestParseSourcePlan:
         program = parse_source_plan("Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[overview of #So1]", "#So")
         assert program.steps[1].query.parts == (Literal("overview of"), VarRef("So1"))
 
-    def test_validate_sources(self):
-        program = parse_source_plan("Plan: a\n#So1 = WEB[context]", "#So")
-        with pytest.raises(UnknownTool):
-            program.validate_sources(FOCUS_SOURCES, {"knowledge": "document"})
-        aliased = parse_source_plan("Plan: a\n#So1 = KNOWLEDGE[context]", "#So")
-        aliased.validate_sources(FOCUS_SOURCES, {"knowledge": "document"})
-
 
 class TestParseStrategyPlan:
     def test_hint_question(self):
@@ -143,7 +133,6 @@ class TestParseStrategyPlan:
     def test_invented_names_kept(self):
         steps = parse_strategy_plan("Plan: Hint Confirmation\nDo: mixed move")
         assert steps[0].strategy_name == "Hint Confirmation"
-        assert unknown_strategy_names(steps, CIMA_STRATEGIES) == ("Hint Confirmation",)
 
     @given(
         st.lists(
