@@ -4,7 +4,8 @@
 load_template``, ``conductor.retrieval.build_index``, ...) that the program
 looks up at call time, and the benchmark times `run_method` where
 `run_batch` looks it up. A refactor that moves one of them fails here
-rather than as a failed benchmark run.
+rather than as a failed benchmark run. The eval-phase guard catches a
+metric that stops looking its helpers up where the tracer patches them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import importlib.util
 from pathlib import Path
 
 from conftest import FIXTURES
-from conductor import pipelines
+from conductor import evalmetrics, pipelines
 from conductor.backend import ReplayBackend
-from conductor.core import SchemaKind
-from conductor.data import load_dataset
+from conductor.core import RunRecord, SchemaKind
+from conductor.data import load_dataset, references_from_samples, select_demonstrations
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -63,3 +64,61 @@ def test_run_batch_calls_the_module_level_run_method(monkeypatch):
         records = pipelines.run_batch(samples, config, backend, parallelism=parallelism)
         assert sorted(seen) == sorted(sample.id for sample in samples)
         assert [record.error for record in records] == [None] * len(samples)
+
+
+# The eval layers the benchmark's zero-call guard expects to be busy.
+EVAL_LAYERS = (
+    "evalmetrics.avg_bleu",
+    "evalmetrics.token_f1",
+    "evalmetrics.rouge_l",
+    "evalmetrics.corpus_bleu",
+    "evalmetrics.distinct_n",
+    "retrieval.tokenize",
+)
+
+
+def _replayed(kind: SchemaKind):
+    samples = load_dataset(str(FIXTURES / f"{kind.value}_samples.jsonl"), kind)
+    config = pipelines.MethodConfig(method=pipelines.Method.TPE, dataset_kind=kind)
+    backend = ReplayBackend.load(str(FIXTURES / "replay.jsonl"))
+    records = pipelines.run_batch(samples, config, backend)
+    return records, references_from_samples(samples)
+
+
+def _psyqa():
+    texts = [
+        demo.response_text for demo in select_demonstrations(SchemaKind.PSYQA, "tpe")
+    ]
+    records = [
+        RunRecord(sample_id=f"p{i}", method="tpe", kind=SchemaKind.PSYQA, response=text)
+        for i, text in enumerate(texts)
+    ]
+    return records, [(r.sample_id, text) for r, text in zip(records, texts[::-1])]
+
+
+def test_eval_phase_reaches_every_traced_metric(monkeypatch):
+    scored = {kind: _replayed(kind) for kind in (SchemaKind.FOCUS, SchemaKind.CIMA)}
+    scored[SchemaKind.PSYQA] = _psyqa()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "eval"
+        # Every tokenize call of the eval phase goes through the name the
+        # tracer patches in conductor.evalmetrics.
+        via_evalmetrics = []
+        traced_tokenize = evalmetrics.tokenize
+
+        def spy(text, *args, **kwargs):
+            via_evalmetrics.append(text)
+            return traced_tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(evalmetrics, "tokenize", spy)
+        for kind, (records, references) in scored.items():
+            evalmetrics.score_run(records, references, evalmetrics.EvalConfig(kind=kind))
+    finally:
+        monkeypatch.undo()
+        tracer.uninstall()
+    for layer in EVAL_LAYERS:
+        assert tracer.layer("eval", layer)[0] > 0, layer
+    assert tracer.layer("eval", "retrieval.tokenize")[0] == len(via_evalmetrics)
+    assert tracer.layer("run", "retrieval.tokenize")[0] == 0
