@@ -4,7 +4,8 @@ Two backends share one interface:
 
 * LiveBackend posts to any OpenAI-compatible ``{base_url}/chat/completions``
   endpoint with bearer auth from the CONDUCTOR_API_KEY environment variable,
-  retrying transient failures with exponential backoff (never on plain 4xx).
+  retrying transient failures (including a 200 reply whose body is
+  malformed) with exponential backoff (never on plain 4xx).
 * ReplayBackend answers from a fixture file keyed by a cryptographic hash of
   the canonicalized request and fails loudly on a miss, which makes whole
   pipeline runs deterministic and catches any template drift immediately.
@@ -238,9 +239,9 @@ class LiveBackend(Backend):
 
     Admission is bounded by a semaphore (default 4 in-flight) and, when
     `requests_per_second` is set, by a token-bucket rate limiter. Transient
-    failures (connection errors, 429, 5xx) retry with exponential backoff;
-    other 4xx fail immediately. `post_fn` and `sleep_fn` are injectable for
-    tests.
+    failures (connection errors, 429, 5xx, a malformed 200 body) retry with
+    exponential backoff; other 4xx fail immediately. `post_fn` and
+    `sleep_fn` are injectable for tests.
     """
 
     def __init__(
@@ -316,22 +317,49 @@ class LiveBackend(Backend):
                 continue
             if status >= 400:
                 raise BackendUnavailable(f"HTTP {status}: {_body_head(response)}")
-            payload = response.json()
-            text = payload["choices"][0]["message"]["content"]
-            usage = payload.get("usage") or {}
-            return Generation(
-                text=text,
-                prompt_tokens=usage.get("prompt_tokens", estimate_tokens(request.prompt_text)),
-                completion_tokens=usage.get("completion_tokens", estimate_tokens(text)),
-                latency_ms=latency_ms,
-                backend_tag="live",
-                model_id=request.model_id,
-            )
+            generation = _reply_generation(response, request, latency_ms)
+            if generation is None:  # a malformed 200 body is retried like a 5xx
+                last_status, last_error = status, "malformed reply body"
+                continue
+            return generation
         if last_status == 429:
             raise RateLimited(f"still rate-limited after {self.attempts} attempts")
         raise BackendUnavailable(
             f"gave up after {self.attempts} attempts (last: {last_error})"
         )
+
+
+def _reply_generation(
+    response: Any, request: CompletionRequest, latency_ms: int
+) -> Generation | None:
+    """The Generation a 200 reply carries, estimating only a token count the
+    server leaves out. None for a body that is not JSON, lacks
+    ``choices[0].message.content``, or carries non-string content or a token
+    count that is not a non-negative integer."""
+    try:
+        payload = response.json()
+        text = payload["choices"][0]["message"]["content"]
+        usage = payload.get("usage") or {}
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return None
+    if not isinstance(text, str) or not all(
+        count is None or (type(count) is int and count >= 0) for count in counts
+    ):
+        return None
+    prompt_tokens, completion_tokens = counts
+    if prompt_tokens is None:
+        prompt_tokens = estimate_tokens(request.prompt_text)
+    if completion_tokens is None:
+        completion_tokens = estimate_tokens(text)
+    return Generation(
+        text=text,
+        prompt_tokens=prompt_tokens,
+        completion_tokens=completion_tokens,
+        latency_ms=latency_ms,
+        backend_tag="live",
+        model_id=request.model_id,
+    )
 
 
 def _body_head(response: Any) -> str:
@@ -362,17 +390,28 @@ def make_fixture_record(
     }
 
 
+def _replay_entry(record: dict[str, Any]) -> tuple[str, int, int]:
+    """(response, prompt_tokens, completion_tokens) of one fixture record."""
+    response = record["response"]
+    counts = (record["prompt_tokens"], record["completion_tokens"])
+    if not isinstance(response, str):
+        raise TypeError("response must be a string")
+    if not all(type(count) is int and count >= 0 for count in counts):
+        raise ValueError(f"token counts must be non-negative integers, got {counts}")
+    return (response, *counts)
+
+
 class ReplayBackend(Backend):
     """Deterministic completions from a fixture file, keyed by request hash."""
 
     def __init__(self, fixtures: Iterable[dict[str, Any]]):
-        self._by_hash: dict[str, dict[str, Any]] = {}
-        for record in fixtures:
-            self._by_hash[record["hash"]] = record
+        self._by_hash: dict[str, tuple[str, int, int]] = {
+            record["hash"]: _replay_entry(record) for record in fixtures
+        }
 
     @classmethod
     def load(cls, path: str) -> "ReplayBackend":
-        records = []
+        backend = cls(())
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -380,26 +419,23 @@ class ReplayBackend(Backend):
                     continue
                 try:
                     record = json.loads(line)
-                    record["hash"], record["response"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    backend._by_hash[record["hash"]] = _replay_entry(record)
+                except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigError(
                         f"invalid replay fixture {path}:{line_no}: {exc}"
                     )
-                records.append(record)
-        return cls(records)
-
-    def __len__(self) -> int:
-        return len(self._by_hash)
+        return backend
 
     def complete(self, request: CompletionRequest) -> Generation:
         key = request_hash(request)
-        record = self._by_hash.get(key)
-        if record is None:
+        entry = self._by_hash.get(key)
+        if entry is None:
             raise ReplayMiss(key, request.prompt_text[:80])
+        text, prompt_tokens, completion_tokens = entry
         return Generation(
-            text=record["response"],
-            prompt_tokens=int(record["prompt_tokens"]),
-            completion_tokens=int(record["completion_tokens"]),
+            text=text,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
             latency_ms=0,
             backend_tag="replay",
             model_id=request.model_id,

@@ -74,14 +74,6 @@ class Dialogue:
                 f"dialogue must end with the {user_role!r} side speaking"
             )
 
-    @property
-    def user_role(self) -> str:
-        return ROLE_LABELS[self.schema_kind][0]
-
-    @property
-    def system_role(self) -> str:
-        return ROLE_LABELS[self.schema_kind][1]
-
 
 @dataclass(frozen=True)
 class ConceptualTool:
@@ -258,21 +250,9 @@ class RunRecord:
 # Rendering
 
 
-def render_dialogue(
-    dialogue: Dialogue, labels: tuple[str, str] | None = None
-) -> str:
-    """Render a dialogue as tab-joined "ROLE: text" segments.
-
-    `labels`, when given, relabels the (user-side, system-side) roles; the
-    default keeps the labels the dialogue was built with.
-    """
-    if labels is None:
-        mapping = {}
-    else:
-        mapping = {dialogue.user_role: labels[0], dialogue.system_role: labels[1]}
-    return TURN_SEPARATOR.join(
-        f"{mapping.get(u.speaker, u.speaker)}: {u.text}" for u in dialogue.utterances
-    )
+def render_dialogue(dialogue: Dialogue) -> str:
+    """Render a dialogue as tab-joined "ROLE: text" segments."""
+    return TURN_SEPARATOR.join(f"{u.speaker}: {u.text}" for u in dialogue.utterances)
 
 
 def render_toolset(

@@ -6,6 +6,8 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURES
+from conductor import backend as backend_module
 from conductor.backend import (
     API_KEY_ENV,
     CompletionRequest,
@@ -20,7 +22,8 @@ from conductor.backend import (
     make_fixture_record,
     request_hash,
 )
-from conductor.core import CallUsage
+from conductor.core import CallUsage, SchemaKind
+from conductor.data import load_dataset
 from conductor.errors import (
     AuthMissing,
     BackendUnavailable,
@@ -28,6 +31,7 @@ from conductor.errors import (
     ReplayMiss,
     UnpricedModel,
 )
+from conductor.pipelines import Method, MethodConfig, run_batch
 
 
 class TestCompletionRequest:
@@ -97,6 +101,14 @@ class _FakeResponse:
 
     def json(self):
         return self._payload
+
+
+class _NotJsonResponse:
+    status_code = 200
+    text = "<html>upstream hiccup</html>"
+
+    def json(self):
+        return json.loads(self.text)
 
 
 def _ok_payload(text="hello"):
@@ -171,6 +183,51 @@ class TestLiveBackend:
         with pytest.raises(BackendUnavailable):
             backend.complete(CompletionRequest.from_prompt("p", "m"))
         assert len(calls) == 1
+
+    def test_reported_usage_is_never_estimated(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+
+        def no_estimate(text):
+            raise AssertionError("estimate_tokens called for a reported count")
+
+        monkeypatch.setattr(backend_module, "estimate_tokens", no_estimate)
+        backend = self._backend(lambda *a, **k: _FakeResponse(200, _ok_payload()))
+        generation = backend.complete(CompletionRequest.from_prompt("p", "m"))
+        assert (generation.prompt_tokens, generation.completion_tokens) == (7, 3)
+
+    def test_malformed_body_retried_then_success(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        responses = [_NotJsonResponse(), _FakeResponse(200, _ok_payload())]
+        backend = self._backend(lambda *a, **k: responses.pop(0))
+        assert backend.complete(CompletionRequest.from_prompt("p", "m")).text == "hello"
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            _NotJsonResponse(),
+            _FakeResponse(200, {"choices": []}),
+            _FakeResponse(200, {"choices": [{"message": {}}]}),
+            _FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
+            _FakeResponse(200, {"choices": [{"message": {"content": 5}}]}),
+            _FakeResponse(200, {**_ok_payload(), "usage": {"prompt_tokens": "7"}}),
+        ],
+        ids=["not_json", "no_choices", "no_content", "null_content", "int_content",
+             "string_usage"],
+    )
+    def test_malformed_body_fails_each_sample_not_the_batch(self, monkeypatch, reply):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        calls = []
+
+        def post(*args, **kwargs):
+            calls.append(1)
+            return reply
+
+        samples = load_dataset(str(FIXTURES / "cima_samples.jsonl"), SchemaKind.CIMA)
+        config = MethodConfig(method=Method.COT, dataset_kind=SchemaKind.CIMA)
+        records = run_batch(samples, config, self._backend(post, attempts=2), parallelism=2)
+        assert [r.sample_id for r in records] == [s.id for s in samples]
+        assert [r.error.kind for r in records] == ["BackendUnavailable"] * len(samples)
+        assert len(calls) == 2 * len(samples)
 
     def test_usage_estimated_when_absent(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")

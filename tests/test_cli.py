@@ -241,6 +241,28 @@ class TestSchemaCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
+    @pytest.mark.parametrize("value", [None, "12", 1.5, -1])
+    def test_replay_fixture_token_count_checked_at_load(
+        self, tmp_path, capsys, field, value
+    ):
+        fixtures = [json.loads(line) for line in open(REPLAY, encoding="utf-8")]
+        for fixture in fixtures:
+            if value is None:
+                del fixture[field]
+            else:
+                fixture[field] = value
+        broken = tmp_path / "broken_replay.jsonl"
+        broken.write_text("".join(json.dumps(f) + "\n" for f in fixtures), encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(
+            ["run", "--method", "tpe", "--kind", "cima", "--dataset", CIMA,
+             "--backend", f"replay:{broken}", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{broken}:1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_price_table_is_config_error(self, tmp_path):
         prices = tmp_path / "prices.json"
         prices.write_text('{"gpt-3.5-turbo": "zero point zero"}', encoding="utf-8")

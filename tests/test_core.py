@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conductor.core import (
+    ROLE_LABELS,
     Demonstration,
     Dialogue,
     Evidence,
@@ -47,8 +48,7 @@ class TestTypes:
     def test_cima_roles(self):
         d = _dialogue(("Teacher", "Green is verde."), ("Student", "what is green?"),
                       kind=SchemaKind.CIMA)
-        assert d.user_role == "Student"
-        assert d.system_role == "Teacher"
+        assert ROLE_LABELS[d.schema_kind] == ("Student", "Teacher")
 
     def test_thought_nonempty(self):
         with pytest.raises(ValueError):
