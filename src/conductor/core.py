@@ -9,6 +9,7 @@ Dialogue turns render as "ROLE: text" segments joined with a single tab.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -341,12 +342,16 @@ def render_demo_slot(blocks: Iterable[str]) -> str:
 # Versioned template files
 
 
+_SLOT = re.compile(r"\{([^\W\d]\w*)\}")
+
+
 class PromptTemplate:
     """A committed prompt skeleton with named placeholder slots.
 
-    Slots use single-brace {name} syntax. Rendering substitutes every slot;
-    a slot present in the file but absent from the provided values raises
-    MissingSection. Unused provided values are ignored.
+    Slots use single-brace {name} syntax. Rendering substitutes every slot
+    in one pass over the file text, so a "{name}" inside a substituted value
+    stays as it is; a slot present in the file but absent from the provided
+    values raises MissingSection. Unused provided values are ignored.
     """
 
     def __init__(self, name: str, text: str):
@@ -354,28 +359,13 @@ class PromptTemplate:
         self.text = text
 
     def slots(self) -> tuple[str, ...]:
-        found: list[str] = []
-        i = 0
-        while True:
-            start = self.text.find("{", i)
-            if start < 0:
-                break
-            end = self.text.find("}", start)
-            if end < 0:
-                break
-            slot = self.text[start + 1 : end]
-            if slot.isidentifier() and slot not in found:
-                found.append(slot)
-            i = end + 1
-        return tuple(found)
+        return tuple(dict.fromkeys(_SLOT.findall(self.text)))
 
     def render(self, **values: str) -> str:
-        out = self.text
-        for slot in self.slots():
-            if slot not in values:
-                raise MissingSection(slot)
-            out = out.replace("{" + slot + "}", values[slot])
-        return out
+        try:
+            return _SLOT.sub(lambda match: values[match[1]], self.text)
+        except KeyError as exc:
+            raise MissingSection(exc.args[0]) from None
 
 
 def load_template(name: str) -> PromptTemplate:

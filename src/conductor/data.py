@@ -14,10 +14,10 @@ is no randomness anywhere in the data path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import MISSING, dataclass, fields
+from decimal import Decimal, InvalidOperation
 from importlib import resources
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from conductor.core import (
     CallUsage,
@@ -65,10 +65,6 @@ class Sample:
     gold_persona_indices: tuple[int, ...] | None = None
     gold_document_index: int | None = None
     gold_strategies: tuple[str, ...] | None = None
-
-    @property
-    def kind(self) -> SchemaKind:
-        return self.dialogue.schema_kind
 
     def gold_persona_texts(self) -> tuple[str, ...]:
         if not self.persona_candidates or not self.gold_persona_indices:
@@ -171,10 +167,11 @@ def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
     )
 
 
-def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
-    """Validated samples in file order; any invalid line fails the whole load
-    with every violation listed."""
-    samples: list[Sample] = []
+def _load_lines(path: str, parse: Callable[[dict], Any]) -> list:
+    """`parse` of each non-blank line's JSON object, in file order. Every
+    invalid line becomes a SchemaViolation, and any violation fails the whole
+    load with all of them listed."""
+    items: list = []
     violations: list[SchemaViolation] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -182,17 +179,22 @@ def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                items.append(parse(_check(json.loads(line), dict, "record")))
             except json.JSONDecodeError as exc:
                 violations.append(SchemaViolation(line_no, f"invalid JSON: {exc}"))
-                continue
-            try:
-                samples.append(sample_from_obj(obj, kind, line_no))
             except SchemaViolation as violation:
-                violations.append(violation)
+                violations.append(SchemaViolation(line_no, violation.reason))
+            except (ValueError, TypeError) as exc:
+                violations.append(SchemaViolation(line_no, str(exc)))
     if violations:
         raise DatasetValidationError(violations)
-    return samples
+    return items
+
+
+def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
+    """Validated samples in file order; any invalid line fails the whole load
+    with every violation listed."""
+    return _load_lines(path, lambda obj: sample_from_obj(obj, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -237,167 +239,186 @@ def select_demonstrations(
 
 # ---------------------------------------------------------------------------
 # RunRecord serialization
+#
+# Each record part (RunRecord, CallUsage, ErrorInfo, Evidence, the plan steps
+# and the query segments) is a JSON object with one key per dataclass field,
+# in field order. A key a file leaves out, or a null where the default is
+# None, takes the field's default; a field without a default is required.
+
+# Attributes stored under another key; every other field keeps its name.
+_KEYS = {
+    "model_id": "model",
+    "backend_tag": "backend",
+    "source_name": "source",
+    "resolved_query": "query",
+    "strategy_name": "strategy",
+}
+# Query segment classes by their stored "kind" tag.
+_SEGMENTS = {"literal": Literal, "context": ContextRef, "var": VarRef}
+_SEGMENT_TAGS = {cls: tag for tag, cls in _SEGMENTS.items()}
+# JSON type of each field stored as itself, by its annotation.
+_LEAF_TYPES = {"str": str, "int": int}
+# (attribute, key, leaf type, default or default factory) per field of each
+# record part; MISSING marks a required field.
+_LAYOUTS = {
+    cls: tuple(
+        (
+            f.name,
+            _KEYS.get(f.name, f.name),
+            _LEAF_TYPES.get(f.type),
+            f.default_factory if f.default is MISSING else f.default,
+        )
+        for f in fields(cls)
+    )
+    for cls in (RunRecord, CallUsage, ErrorInfo, Evidence, SourcePlanStep,
+                StrategyPlanStep, *_SEGMENT_TAGS)
+}
 
 
-def _query_to_obj(query: QuerySpec) -> list[dict]:
-    parts = []
-    for part in query.parts:
-        if isinstance(part, Literal):
-            parts.append({"kind": "literal", "text": part.text})
-        elif isinstance(part, ContextRef):
-            parts.append({"kind": "context"})
-        else:
-            parts.append({"kind": "var", "name": part.name})
-    return parts
+def _check(value: Any, json_type: type, name: str) -> Any:
+    """`value`, which must have exactly `json_type` (a bool is not an int)."""
+    if type(value) is not json_type:
+        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r:.60}")
+    return value
 
 
-def _query_from_obj(parts: list[dict]) -> QuerySpec:
-    segments = []
-    for part in parts:
-        if part["kind"] == "literal":
-            segments.append(Literal(part["text"]))
-        elif part["kind"] == "context":
-            segments.append(ContextRef())
-        else:
-            segments.append(VarRef(part["name"]))
-    return QuerySpec(tuple(segments))
+def _to_obj(part: Any, **stored: Any) -> dict:
+    """`part` as its stored object; `stored` gives, by key, the values that
+    are not stored as themselves."""
+    obj = {key: getattr(part, attr) for attr, key, _, _ in _LAYOUTS[type(part)]}
+    obj.update(stored)
+    return obj
+
+
+def _from_obj(cls: type, obj: Any, **read: Callable[[Any], Any]) -> Any:
+    """The `cls` part stored as `obj`. A value goes through `read[attribute]`
+    when given, else must have its field's leaf type."""
+    _check(obj, dict, cls.__name__)
+    values = {}
+    for attr, key, leaf, default in _LAYOUTS[cls]:
+        value = obj.get(key, default)
+        if value is MISSING:
+            raise ValueError(f"missing {cls.__name__} field {key!r}")
+        if value is not default:  # else the dataclass fills in its default
+            values[attr] = read[attr](value) if attr in read else _check(value, leaf, key)
+    return cls(**values)
 
 
 def _plan_to_obj(plan: Any) -> dict | None:
     if plan is None:
         return None
     if isinstance(plan, SourcePlanProgram):
-        return {
-            "format": "source",
-            "steps": [
-                {
-                    "description": step.description,
-                    "source": step.source_name,
-                    "output_var": step.output_var,
-                    "query": _query_to_obj(step.query),
-                }
-                for step in plan.steps
-            ],
-        }
+        steps = [
+            _to_obj(
+                step,
+                query=[
+                    {"kind": _SEGMENT_TAGS[type(part)], **_to_obj(part)}
+                    for part in step.query.parts
+                ],
+            )
+            for step in plan.steps
+        ]
+        return {"format": "source", "steps": steps}
     if isinstance(plan, (list, tuple)) and all(
         isinstance(s, StrategyPlanStep) for s in plan
     ):
-        return {
-            "format": "strategy",
-            "steps": [
-                {"strategy": s.strategy_name, "fragment": s.fragment} for s in plan
-            ],
-        }
+        return {"format": "strategy", "steps": [_to_obj(s) for s in plan]}
     if isinstance(plan, (list, tuple)) and all(isinstance(s, str) for s in plan):
         return {"format": "modules", "names": list(plan)}
     raise TypeError(f"cannot serialize plan of type {type(plan).__name__}")
 
 
-def _plan_from_obj(obj: dict | None) -> Any:
-    if obj is None:
-        return None
-    if obj["format"] == "source":
-        return SourcePlanProgram(
-            tuple(
-                SourcePlanStep(
-                    description=step["description"],
-                    source_name=step["source"],
-                    output_var=step["output_var"],
-                    query=_query_from_obj(step["query"]),
-                )
-                for step in obj["steps"]
+def _segment_from_obj(obj: Any) -> Any:
+    tag = _check(obj, dict, "query segment").get("kind")
+    if tag not in _SEGMENTS:
+        raise ValueError(f"unknown query segment kind {tag!r}")
+    return _from_obj(_SEGMENTS[tag], obj)
+
+
+def _plan_from_obj(obj: Any) -> Any:
+    plan_format = _check(obj, dict, "parsed_plan").get("format")
+    if plan_format == "modules":
+        names = _check(obj.get("names"), list, "names")
+        return tuple(_check(name, str, "module name") for name in names)
+    if plan_format not in ("source", "strategy"):
+        raise ValueError(f"unknown plan format {plan_format!r}")
+    steps = _check(obj.get("steps"), list, "steps")
+    if plan_format == "strategy":
+        return tuple(_from_obj(StrategyPlanStep, step) for step in steps)
+    read_query = lambda parts: QuerySpec(
+        tuple(_segment_from_obj(part) for part in _check(parts, list, "query"))
+    )
+    return SourcePlanProgram(
+        tuple(_from_obj(SourcePlanStep, step, query=read_query) for step in steps)
+    )
+
+
+def _passage(value: Any) -> tuple[str, str, float]:
+    if type(value) is not list or len(value) != 3 or type(value[2]) not in (int, float):
+        raise TypeError(f"passage must be [doc_id, text, score], got {value!r:.60}")
+    doc_id, text, score = value
+    return (_check(doc_id, str, "doc_id"), _check(text, str, "passage text"), float(score))
+
+
+def _evidence_from_obj(items: Any) -> EvidenceStore:
+    store = EvidenceStore()
+    for item in _check(items, list, "evidence"):
+        if "fragment" in _check(item, dict, "evidence item"):
+            variable = _check(item.get("variable"), str, "variable")
+            store.bind(variable, _check(item["fragment"], str, "fragment"))
+        else:
+            evidence = _from_obj(
+                Evidence,
+                item,
+                passages=lambda ps: tuple(_passage(p) for p in _check(ps, list, "passages")),
             )
-        )
-    if obj["format"] == "strategy":
-        return tuple(
-            StrategyPlanStep(strategy_name=s["strategy"], fragment=s["fragment"])
-            for s in obj["steps"]
-        )
-    return tuple(obj["names"])
+            store.bind(evidence.variable, evidence)
+    return store
+
+
+def _cost(text: Any) -> Decimal:
+    try:
+        cost = Decimal(_check(text, str, "cost_usd"))
+        if cost.is_finite():
+            return cost
+    except InvalidOperation:
+        pass
+    raise ValueError(f"cost_usd must be a finite decimal string, got {text!r:.60}")
 
 
 def record_to_obj(record: RunRecord) -> dict:
-    evidence = []
-    for variable, value in record.evidence.items():
-        if isinstance(value, Evidence):
-            evidence.append(
-                {
-                    "variable": variable,
-                    "source": value.source_name,
-                    "query": value.resolved_query,
-                    "passages": [[d, t, s] for d, t, s in value.passages],
-                }
-            )
-        else:
-            evidence.append({"variable": variable, "fragment": value})
-    return {
-        "sample_id": record.sample_id,
-        "method": record.method,
-        "kind": record.kind.value,
-        "thought": record.thought.text if record.thought else None,
-        "raw_plan_text": record.raw_plan_text,
-        "parsed_plan": _plan_to_obj(record.parsed_plan),
-        "evidence": evidence,
-        "response": record.response,
-        "usages": [
-            {
-                "model": u.model_id,
-                "backend": u.backend_tag,
-                "prompt_tokens": u.prompt_tokens,
-                "completion_tokens": u.completion_tokens,
-                "latency_ms": u.latency_ms,
-            }
-            for u in record.usages
+    return _to_obj(
+        record,
+        kind=record.kind.value,
+        thought=record.thought.text if record.thought else None,
+        parsed_plan=_plan_to_obj(record.parsed_plan),
+        evidence=[
+            _to_obj(value, passages=[list(passage) for passage in value.passages])
+            if isinstance(value, Evidence)
+            else {"variable": variable, "fragment": value}
+            for variable, value in record.evidence.items()
         ],
-        "cost_usd": str(record.cost_usd),
-        "error": (
-            {"kind": record.error.kind, "detail": record.error.detail}
-            if record.error
-            else None
-        ),
-    }
+        usages=[_to_obj(usage) for usage in record.usages],
+        cost_usd=str(record.cost_usd),
+        error=_to_obj(record.error) if record.error else None,
+    )
 
 
 def record_from_obj(obj: dict) -> RunRecord:
-    store = EvidenceStore()
-    for item in obj.get("evidence", ()):
-        if "fragment" in item:
-            store.bind(item["variable"], item["fragment"])
-        else:
-            store.bind(
-                item["variable"],
-                Evidence(
-                    variable=item["variable"],
-                    source_name=item["source"],
-                    resolved_query=item["query"],
-                    passages=tuple((d, t, float(s)) for d, t, s in item["passages"]),
-                ),
-            )
-    return RunRecord(
-        sample_id=obj["sample_id"],
-        method=obj["method"],
-        kind=SchemaKind(obj["kind"]),
-        thought=Thought(obj["thought"]) if obj.get("thought") else None,
-        raw_plan_text=obj.get("raw_plan_text", ""),
-        parsed_plan=_plan_from_obj(obj.get("parsed_plan")),
-        evidence=store,
-        response=obj.get("response", ""),
-        usages=tuple(
-            CallUsage(
-                model_id=u["model"],
-                backend_tag=u["backend"],
-                prompt_tokens=u["prompt_tokens"],
-                completion_tokens=u["completion_tokens"],
-                latency_ms=u.get("latency_ms", 0),
-            )
-            for u in obj.get("usages", ())
+    """The record stored as `obj`; ValueError or TypeError when a required
+    key is missing or a value is invalid."""
+    return _from_obj(
+        RunRecord,
+        obj,
+        kind=SchemaKind,
+        thought=lambda text: Thought(_check(text, str, "thought")),
+        parsed_plan=_plan_from_obj,
+        evidence=_evidence_from_obj,
+        usages=lambda usages: tuple(
+            _from_obj(CallUsage, usage) for usage in _check(usages, list, "usages")
         ),
-        cost_usd=Decimal(obj.get("cost_usd", "0")),
-        error=(
-            ErrorInfo(kind=obj["error"]["kind"], detail=obj["error"]["detail"])
-            if obj.get("error")
-            else None
-        ),
+        cost_usd=_cost,
+        error=lambda error: _from_obj(ErrorInfo, error),
     )
 
 
@@ -409,17 +430,9 @@ def export_records(records: Iterable[RunRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[RunRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {line_no}: record must be a JSON object")
-            records.append(record_from_obj(obj))
-    return records
+    """Records in file order; any invalid line fails the whole load with
+    every violation listed."""
+    return _load_lines(path, record_from_obj)
 
 
 def references_from_samples(samples: Sequence[Sample]) -> list[tuple[str, str]]:

@@ -293,7 +293,7 @@ def run_batch(
 
 
 def _think(run: _Run) -> str:
-    prompt = load_template(f"tpe_thinker_{run.config.dataset_kind.value}").render(
+    prompt = load_template("tpe_thinker").render(
         persona=run.profile.personas["thinker"],
         demos=run.demo_slot("tpe", "thinker"),
         extras="",
@@ -350,7 +350,7 @@ def _run_tpe_sources(run: _Run) -> None:
     executor_extras = [("Source Knowledge", _knowledge_text(run.store))]
     if run.config.include_thought_in_executor and thought:
         executor_extras.append(("Thought", thought))
-    executor_prompt = load_template("tpe_executor_focus").render(
+    executor_prompt = load_template("response").render(
         persona=run.profile.personas["executor"],
         demos="",
         extras=render_extras(executor_extras),
@@ -390,7 +390,7 @@ def _run_cot(run: _Run) -> None:
         for i, source in enumerate(("persona", "document"), start=1):
             run.retrieve(f"K{i}", source, run.context_text)
         extras.append(("Source Knowledge", _knowledge_text(run.store)))
-    prompt = load_template(f"cot_{run.config.dataset_kind.value}").render(
+    prompt = load_template("response").render(
         persona=run.profile.personas["cot"],
         demos=run.demo_slot("cot", "response"),
         extras=render_extras(extras),
@@ -400,8 +400,7 @@ def _run_cot(run: _Run) -> None:
 
 
 def _run_cuecot(run: _Run) -> None:
-    kind = run.config.dataset_kind.value
-    status_prompt = load_template(f"cuecot_status_{kind}").render(
+    status_prompt = load_template("cuecot_status").render(
         persona=run.profile.personas["thinker"],
         demos=run.demo_slot("cuecot", "status"),
         extras="",
@@ -410,7 +409,7 @@ def _run_cuecot(run: _Run) -> None:
     status = run.complete(status_prompt).strip()
     if status:
         run.thought = Thought(status)
-    response_prompt = load_template(f"cuecot_response_{kind}").render(
+    response_prompt = load_template("cuecot_response").render(
         persona=run.profile.personas["cot"],
         demos=run.demo_slot("cuecot", "status_response"),
         extras=render_extras([("Status", status)] if status else []),
@@ -440,9 +439,7 @@ def _plan_modules(
 ) -> tuple[str, ...] | None:
     """Chameleon's module-sequence call; None (record failed) when the
     generation holds no module list."""
-    planner_prompt = load_template(
-        f"chameleon_planner_{run.config.dataset_kind.value}"
-    ).render(
+    planner_prompt = load_template(f"chameleon_planner_{view}").render(
         persona=run.profile.personas["chameleon"],
         toolset=run.toolset_lines(toolset),
         demos=run.demo_slot("chameleon", view),
@@ -470,7 +467,7 @@ def _run_chameleon_sources(run: _Run) -> None:
             continue  # Answer_Generator and unplanned module names are skipped
     for i, source in enumerate(retrieval_order or ("persona", "document"), start=1):
         run.retrieve(f"K{i}", source, run.context_text)
-    answer_prompt = load_template("chameleon_answer_focus").render(
+    answer_prompt = load_template("response").render(
         persona=run.profile.personas["executor"],
         demos=run.demo_slot("cot", "response"),
         extras=render_extras([("Source Knowledge", _knowledge_text(run.store))]),
@@ -485,7 +482,7 @@ def _run_chameleon_strategies(run: _Run) -> None:
     )
     if names is None:
         return
-    template = load_template(f"chameleon_strategy_{run.config.dataset_kind.value}")
+    template = load_template("chameleon_strategy")
     steps: list[StrategyPlanStep] = []
     for i, name in enumerate(
         (n for n in names if n != "Answer_Generator"), start=1

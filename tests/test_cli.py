@@ -295,6 +295,81 @@ class TestSchemaCheck:
             assert Decimal(custom["cost_usd"]) == Decimal(default["cost_usd"]) * 500
 
 
+def _set_score(obj, value):
+    obj["evidence"][0]["passages"][0][2] = value
+
+
+# One change each to a valid tpe/focus record line.
+MALFORMED_RECORDS = {
+    "missing_sample_id": lambda obj: obj.pop("sample_id"),
+    "negative_prompt_tokens": lambda obj: obj["usages"][0].update(prompt_tokens=-3),
+    "unknown_kind": lambda obj: obj.update(kind="nope"),
+    "empty_response_without_error": lambda obj: obj.update(response=""),
+    "cost_not_decimal": lambda obj: obj.update(cost_usd="abc"),
+    "passage_score_not_number": lambda obj: _set_score(obj, "x"),
+    "response_not_string": lambda obj: obj.update(response=5),
+    "module_names_not_list": lambda obj: obj.update(
+        parsed_plan={"format": "modules", "names": "abc"}
+    ),
+}
+
+
+def _valid_lines(tmp_path, capsys) -> list[str]:
+    _, out = _run(tmp_path, name="valid.jsonl")
+    capsys.readouterr()
+    return out.read_text(encoding="utf-8").splitlines()
+
+
+def _malformed(line: str, case: str) -> str:
+    if case == "truncated_line":
+        return line[: len(line) // 2]
+    obj = json.loads(line)
+    MALFORMED_RECORDS[case](obj)
+    return json.dumps(obj, ensure_ascii=False)
+
+
+class TestMalformedRecords:
+    CASES = [*MALFORMED_RECORDS, "truncated_line"]
+
+    @pytest.fixture(params=CASES)
+    def bad_file(self, request, tmp_path, capsys):
+        line = _malformed(_valid_lines(tmp_path, capsys)[0], request.param)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_eval_exits_two_naming_the_line(self, bad_file, capsys):
+        code = main(["eval", "--records", bad_file, "--references", FOCUS, "--kind", "focus"])
+        assert code == 2
+        assert "line 1:" in capsys.readouterr().err
+
+    def test_analyze_exits_two_naming_the_line(self, bad_file, capsys):
+        assert main(["analyze", "--records", bad_file, "--analysis", "cost"]) == 2
+        assert "line 1:" in capsys.readouterr().err
+
+    def test_schema_check_reports_the_line(self, bad_file, capsys):
+        code = main(["schema-check", "--path", bad_file, "--what", "records", "--kind", "focus"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("INVALID line 1: ")
+
+    def test_every_bad_line_listed(self, tmp_path, capsys):
+        first, second, _ = _valid_lines(tmp_path, capsys)
+        lines = [
+            _malformed(first, "cost_not_decimal"),
+            second,
+            _malformed(first, "truncated_line"),
+        ]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["schema-check", "--path", str(bad), "--what", "records", "--kind", "focus"])
+        assert code == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == ["INVALID line 1", "INVALID line 3"]
+        assert main(["eval", "--records", str(bad), "--references", FOCUS, "--kind", "focus"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1:" in err and "line 3:" in err
+
+
 class TestChat:
     def test_transcript_matches_golden(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -320,6 +395,18 @@ class TestChat:
         assert code == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("content", ["", "{not json\n", '{"id": "f2"}\n'])
+    def test_bad_sample_file_exits_two(self, monkeypatch, tmp_path, capsys, content):
+        sample = tmp_path / "sample.json"
+        sample.write_text(content, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
+        code = main(
+            ["chat", "--method", "tpe", "--kind", "focus",
+             "--backend", f"replay:{REPLAY}", "--sample", str(sample)]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_plan_shows_error_banner(self, monkeypatch, tmp_path, capsys):
         fixture = tmp_path / "broken.jsonl"
         from conductor.backend import make_fixture_record
@@ -332,7 +419,7 @@ class TestChat:
         profile = profile_for(SK.CIMA)
         dialogue = "Student: ciao?"
         demos = select_demonstrations(SK.CIMA, "tpe")
-        thinker_prompt = load_template("tpe_thinker_cima").render(
+        thinker_prompt = load_template("tpe_thinker").render(
             persona=profile.personas["thinker"],
             demos=render_demo_slot(render_demonstration(d, "thinker") for d in demos),
             extras="",

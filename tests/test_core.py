@@ -169,7 +169,7 @@ class TestPromptTemplate:
         }
 
     def test_render_replaces_all(self):
-        template = load_template("tpe_thinker_focus")
+        template = load_template("tpe_thinker")
         out = template.render(persona="P", demos="", extras="", dialogue="USER: Hi")
         assert out == "P\n\nDialogue: USER: Hi\nThought:"
 

@@ -18,6 +18,8 @@ from conductor.data import (
     export_records,
     load_dataset,
     load_records,
+    record_from_obj,
+    record_to_obj,
     sample_from_obj,
     select_demonstrations,
 )
@@ -242,3 +244,57 @@ class TestRecordRoundTrip:
         export_records([], str(path))
         assert path.read_text(encoding="utf-8") == ""
         assert load_records(str(path)) == []
+
+
+class TestRecordLayout:
+    def test_missing_optional_keys_take_defaults(self):
+        record = record_from_obj(
+            {"sample_id": "s", "method": "cot", "kind": "cima", "response": "r",
+             "usages": [{"model": "m", "backend": "replay",
+                         "prompt_tokens": 1, "completion_tokens": 2}]}
+        )
+        assert record == RunRecord(
+            sample_id="s", method="cot", kind=SchemaKind.CIMA, response="r",
+            usages=(CallUsage("m", "replay", 1, 2),),
+        )
+
+    def test_null_takes_a_none_default_only(self):
+        obj = record_to_obj(_full_record())
+        obj.update(thought=None, parsed_plan=None, error=None)
+        record = record_from_obj(obj)
+        assert (record.thought, record.parsed_plan, record.error) == (None, None, None)
+        obj["raw_plan_text"] = None
+        with pytest.raises(TypeError, match="raw_plan_text must be str"):
+            record_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda o: o.pop("method"), "missing RunRecord field 'method'"),
+            (lambda o: o["usages"][0].pop("backend"), "missing CallUsage field 'backend'"),
+            (lambda o: o["usages"][0].update(prompt_tokens=True), "prompt_tokens must be int"),
+            (lambda o: o["evidence"][1].update(fragment=3), "fragment must be str"),
+            (lambda o: o["parsed_plan"]["steps"][0]["query"][0].update(kind="web"),
+             "unknown query segment kind 'web'"),
+            (lambda o: o["parsed_plan"].update(format="tree"), "unknown plan format 'tree'"),
+            (lambda o: o.update(cost_usd="NaN"), "cost_usd must be a finite decimal"),
+            (lambda o: o.update(thought=""), "thought text must be non-empty"),
+        ],
+    )
+    def test_invalid_value_named(self, change, message):
+        obj = record_to_obj(_full_record())
+        change(obj)
+        with pytest.raises((TypeError, ValueError), match=message):
+            record_from_obj(obj)
+
+    def test_load_lists_every_invalid_line(self, tmp_path):
+        good = json.dumps(record_to_obj(_full_record()), ensure_ascii=False)
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            "\n".join([good, "[1, 2]", good, '{"sample_id": "s"}', "{"]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_records(str(path))
+        assert [v.line_no for v in exc_info.value.violations] == [2, 4, 5]
+        assert "record must be dict" in exc_info.value.violations[0].reason

@@ -292,6 +292,36 @@ class TestFallbacks:
         assert record.response == ""
 
 
+class TestSlotNamesInText:
+    """A "{name}" inside dialogue or model text is text, not a template slot."""
+
+    def test_user_turn_naming_a_later_slot(self):
+        sample = replace(
+            _toy_sample(),
+            dialogue=Dialogue(
+                id="toy",
+                utterances=(Utterance("USER", "what does {scratchpad} mean?"),),
+                schema_kind=SchemaKind.FOCUS,
+            ),
+        )
+        step = "Thought: look it up\nAction: Knowledge[Newton]"
+        backend = QueueBackend(step, "Thought: done\nAction: Finish[A suburb.]")
+        config = MethodConfig(method=Method.REACT, dataset_kind=SchemaKind.FOCUS)
+        record = run_method(sample, config, backend)
+        assert record.response == "A suburb."
+        second = backend.requests[1].prompt_text
+        assert "USER: what does {scratchpad} mean?" in second
+        assert second.count("Action: Knowledge[Newton]") == 1
+
+    def test_thought_naming_the_dialogue_slot(self):
+        backend = QueueBackend("what does {dialogue} refer to?", "no plan")
+        config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
+        run_method(_toy_sample(), config, backend)
+        planner_prompt = backend.requests[1].prompt_text
+        assert "Thought: what does {dialogue} refer to?" in planner_prompt
+        assert planner_prompt.count("I know this place, but I don't remember.") == 1
+
+
 class TestReactFlow:
     def test_finish_sets_response(self):
         config = MethodConfig(method=Method.REACT, dataset_kind=SchemaKind.FOCUS)

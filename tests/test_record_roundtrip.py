@@ -3,7 +3,7 @@
 Every record the golden replay digests pin (the ten supported fixture pairs
 and the five scripted error records) is exported, loaded back and exported
 again: the two files must be byte-identical and the loaded records equal to
-the ones that were written.
+the ones that were written. The in-memory codec inverts itself as well.
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ import pytest
 from conftest import FIXTURES, QueueBackend
 from conductor.backend import ReplayBackend
 from conductor.core import SchemaKind
-from conductor.data import export_records, load_dataset, load_records
+from conductor.data import (
+    export_records,
+    load_dataset,
+    load_records,
+    record_from_obj,
+    record_to_obj,
+)
 from conductor.pipelines import Method, MethodConfig, run_batch, run_method
 from test_golden_replay import REPLAY_DIGESTS, SCRIPTED
 
@@ -29,6 +35,7 @@ def _assert_round_trip(records, tmp_path) -> None:
     export_records(loaded, str(second))
     assert second.read_bytes() == first.read_bytes()
     assert loaded == records
+    assert [record_from_obj(record_to_obj(r)) for r in records] == records
 
 
 @pytest.mark.parametrize("method,kind", sorted(REPLAY_DIGESTS))

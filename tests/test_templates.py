@@ -17,19 +17,35 @@ from conductor.core import SchemaKind, load_template
 from conductor.data import load_dataset
 from conductor.pipelines import Method, MethodConfig, run_method
 
-ALL_TEMPLATES = [
-    "tpe_thinker_focus", "tpe_planner_focus", "tpe_executor_focus",
-    "tpe_thinker_cima", "tpe_plannerexec_cima",
-    "tpe_thinker_psyqa", "tpe_plannerexec_psyqa",
-    "cot_focus", "cot_cima", "cot_psyqa",
-    "cuecot_status_cima", "cuecot_response_cima",
-    "cuecot_status_psyqa", "cuecot_response_psyqa",
-    "react_focus", "react_cima", "react_psyqa",
-    "rewoo_planner_focus", "rewoo_solver_focus",
-    "chameleon_planner_focus", "chameleon_answer_focus",
-    "chameleon_planner_cima", "chameleon_strategy_cima",
-    "chameleon_planner_psyqa", "chameleon_strategy_psyqa",
-]
+# Prompt call site (flow and dataset kind) -> the template file it loads.
+# Call sites whose prompt text is byte-identical share one file.
+ALL_TEMPLATES = {
+    "tpe_thinker_focus": "tpe_thinker",
+    "tpe_thinker_cima": "tpe_thinker",
+    "tpe_thinker_psyqa": "tpe_thinker",
+    "tpe_planner_focus": "tpe_planner_focus",
+    "tpe_executor_focus": "response",
+    "tpe_plannerexec_cima": "tpe_plannerexec_cima",
+    "tpe_plannerexec_psyqa": "tpe_plannerexec_psyqa",
+    "cot_focus": "response",
+    "cot_cima": "response",
+    "cot_psyqa": "response",
+    "cuecot_status_cima": "cuecot_status",
+    "cuecot_status_psyqa": "cuecot_status",
+    "cuecot_response_cima": "cuecot_response",
+    "cuecot_response_psyqa": "cuecot_response",
+    "react_focus": "react_focus",
+    "react_cima": "react_cima",
+    "react_psyqa": "react_psyqa",
+    "rewoo_planner_focus": "rewoo_planner_focus",
+    "rewoo_solver_focus": "rewoo_solver_focus",
+    "chameleon_planner_focus": "chameleon_planner_modules",
+    "chameleon_answer_focus": "response",
+    "chameleon_planner_cima": "chameleon_planner_strategies",
+    "chameleon_strategy_cima": "chameleon_strategy",
+    "chameleon_planner_psyqa": "chameleon_planner_strategies",
+    "chameleon_strategy_psyqa": "chameleon_strategy",
+}
 
 KNOWN_SLOTS = {
     "persona", "toolset", "demos", "extras", "dialogue", "scratchpad", "strategy",
@@ -37,7 +53,7 @@ KNOWN_SLOTS = {
 
 
 class TestTemplateFiles:
-    @pytest.mark.parametrize("name", ALL_TEMPLATES)
+    @pytest.mark.parametrize("name", ALL_TEMPLATES.values(), ids=ALL_TEMPLATES)
     def test_loads_and_uses_known_slots(self, name):
         template = load_template(name)
         assert template.text
@@ -50,7 +66,7 @@ class TestTemplateFiles:
             for path in resources.files("conductor").joinpath("templates").iterdir()
             if path.name.endswith(".txt")
         }
-        assert files == set(ALL_TEMPLATES)
+        assert files == set(ALL_TEMPLATES.values())
 
     def test_react_focus_keeps_table_anchors(self):
         text = load_template("react_focus").text
@@ -74,7 +90,7 @@ class TestTemplateFiles:
             load_template("tpe_plannerexec_psyqa").text
         )
         assert "The modules are defined as follows:" in (
-            load_template("chameleon_planner_focus").text
+            load_template("chameleon_planner_modules").text
         )
 
 
