@@ -412,12 +412,12 @@ class ReplayBackend(Backend):
     @classmethod
     def load(cls, path: str) -> "ReplayBackend":
         backend = cls(())
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
                     backend._by_hash[record["hash"]] = _replay_entry(record)
                 except (ValueError, KeyError, TypeError) as exc:

@@ -22,6 +22,7 @@ from importlib import resources
 
 from conductor.backend import (
     Backend,
+    DEFAULT_MAX_IN_FLIGHT,
     DEFAULT_PRICES,
     LiveBackend,
     PriceTable,
@@ -79,7 +80,9 @@ def _build_backend(args: argparse.Namespace) -> Backend:
         base_url = getattr(args, "base_url", None)
         if not base_url:
             raise ConfigError("live backend requires --base-url")
-        return LiveBackend(base_url)
+        # `run` admits --parallelism requests at once; `chat` has no such flag
+        in_flight = max(1, getattr(args, "parallelism", DEFAULT_MAX_IN_FLIGHT))
+        return LiveBackend(base_url, max_in_flight=in_flight)
     raise ConfigError(f"unknown backend {selector!r} (use live or replay:<path>)")
 
 
@@ -337,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConductorError, FileNotFoundError) as exc:
+    except (ConductorError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -173,13 +173,12 @@ def _load_lines(path: str, parse: Callable[[dict], Any]) -> list:
     load with all of them listed."""
     items: list = []
     violations: list[SchemaViolation] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
             try:
-                items.append(parse(_check(json.loads(line), dict, "record")))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    items.append(parse(_check(json.loads(line), dict, "record")))
             except json.JSONDecodeError as exc:
                 violations.append(SchemaViolation(line_no, f"invalid JSON: {exc}"))
             except SchemaViolation as violation:
@@ -187,7 +186,7 @@ def _load_lines(path: str, parse: Callable[[dict], Any]) -> list:
             except (ValueError, TypeError) as exc:
                 violations.append(SchemaViolation(line_no, str(exc)))
     if violations:
-        raise DatasetValidationError(violations)
+        raise DatasetValidationError(path, violations)
     return items
 
 

@@ -128,9 +128,9 @@ class SchemaViolation(ConductorError):
 class DatasetValidationError(ConductorError):
     """Raised after a full pass over an invalid file, carrying every violation."""
 
-    def __init__(self, violations: list[SchemaViolation]):
+    def __init__(self, path: str, violations: list[SchemaViolation]):
         lines = "; ".join(str(v) for v in violations)
-        super().__init__(f"{len(violations)} invalid line(s): {lines}")
+        super().__init__(f"{path}: {len(violations)} invalid line(s): {lines}")
         self.violations = violations
 
 

@@ -2,7 +2,11 @@
 
 All metrics share one tokenizer (lowercase, punctuation split, CJK per
 character) so they stay mutually consistent across English and Chinese
-responses. Sentence BLEU, token F1, Rouge-L, and distinct-n live in [0, 1];
+responses. Every metric accepts a string or a token list; `score_run`
+tokenizes each record's candidate and gold once and passes the token lists
+to every metric of the panel. Rouge-L's LCS uses the bit-vector method
+(Allison & Dix 1986; Hyyrö 2004), one Python int per reference. Sentence
+BLEU, token F1, Rouge-L, and distinct-n live in [0, 1];
 corpus BLEU is reported on the usual 0–100 scale; the report table puts the
 per-sample metrics on 0–100 as well, matching how such results are
 conventionally displayed.
@@ -34,7 +38,7 @@ def _as_tokens(value: str | Tokens) -> list[str]:
 
 
 def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _check_corpus(candidates: Sequence, references: Sequence) -> None:
@@ -215,18 +219,18 @@ def token_f1(candidate: str | Tokens, reference: str | Tokens) -> float:
 
 
 def _lcs_length(a: Tokens, b: Tokens) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Bit j of `v` is 0 exactly where the LCS of `a` so far with `b[: j + 1]`
+    exceeds the one with `b[:j]`, so the 0 bits below len(b) count the LCS.
+    Carries past bit len(b) never reach the bits below it."""
+    masks: dict[str, int] = {}
+    for j, item_b in enumerate(b):
+        masks[item_b] = masks.get(item_b, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for item_a in a:
-        curr = [0]
-        for j, item_b in enumerate(b, start=1):
-            if item_a == item_b:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+        u = v & masks.get(item_a, 0)
+        v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()
 
 
 def rouge_l(candidate: str | Tokens, reference: str | Tokens, beta: float = 1.0) -> float:
@@ -393,9 +397,10 @@ def score_run(
                 f"record {record.sample_id!r} does not align with reference {ref_id!r}"
             )
 
-    candidates = [record.response for record in records]
-    golds = [text for _, text in references]
+    # One tokenization per candidate and gold, shared by every metric below.
     # Looked up per call: the benchmark tracer wraps these module-level names.
+    candidates = [tokenize(record.response) for record in records]
+    golds = [tokenize(text) for _, text in references]
     pairwise = {"F1": token_f1, "Rouge.L": rouge_l}
 
     per_sample: dict[str, list[float]] = {}

@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, GOLDEN
+from conductor.backend import DEFAULT_MAX_IN_FLIGHT
 from conductor.cli import main
 
 REPLAY = str(FIXTURES / "replay.jsonl")
@@ -232,6 +234,31 @@ class TestSchemaCheck:
         assert code == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_non_utf8_line_is_reported_not_crashed(self, tmp_path, capsys):
+        _, out = _run(tmp_path)
+        capsys.readouterr()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(out.read_bytes().splitlines(keepends=True)[0] + b"\xff\xfe{}\n")
+        code = main(["schema-check", "--path", str(bad), "--what", "records", "--kind", "focus"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("INVALID line 2: 'utf-8' codec can't decode")
+
+    def test_directory_path_exits_two(self, tmp_path, capsys):
+        code = main(["schema-check", "--path", str(tmp_path), "--what", "records", "--kind", "focus"])
+        assert code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_replay_file_names_the_line(self, tmp_path, capsys):
+        broken = tmp_path / "broken_replay.jsonl"
+        first = Path(REPLAY).read_bytes().splitlines(keepends=True)[0]
+        broken.write_bytes(first + b"\xff\xfe{}\n")
+        code = main(
+            ["run", "--method", "tpe", "--kind", "focus", "--dataset", FOCUS,
+             "--backend", f"replay:{broken}", "--out", str(tmp_path / "o.jsonl")]
+        )
+        assert code == 2
+        assert f"{broken}:2" in capsys.readouterr().err
+
     def test_malformed_replay_file_is_config_error(self, tmp_path):
         broken = tmp_path / "broken_replay.jsonl"
         broken.write_text('{"model": "m"}\n', encoding="utf-8")
@@ -368,6 +395,9 @@ class TestMalformedRecords:
         assert main(["eval", "--records", str(bad), "--references", FOCUS, "--kind", "focus"]) == 2
         err = capsys.readouterr().err
         assert "line 1:" in err and "line 3:" in err
+        valid = tmp_path / "valid.jsonl"
+        assert main(["analyze", "--records", str(valid), str(bad), "--analysis", "cost"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 2 invalid line(s): line 1:")
 
 
 class TestChat:
@@ -448,3 +478,35 @@ class TestChat:
         printed = capsys.readouterr().out
         assert "[error ParseError]" in printed
         assert "[response] ???" in printed
+
+
+class _Built(Exception):
+    """Stops a command right after it builds its backend."""
+
+
+class TestLiveInFlight:
+    LIVE = ["--method", "tpe", "--kind", "cima", "--backend", "live",
+            "--base-url", "http://localhost:1"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        seen = {}
+
+        def fake_live(base_url, **kwargs):
+            seen.update(kwargs)
+            raise _Built
+
+        monkeypatch.setattr("conductor.cli.LiveBackend", fake_live)
+        return seen
+
+    @pytest.mark.parametrize("parallelism, bound", [("16", 16), ("0", 1)])
+    def test_run_parallelism_sets_the_in_flight_bound(self, built, tmp_path, parallelism, bound):
+        with pytest.raises(_Built):
+            main(["run", *self.LIVE, "--dataset", CIMA, "--out", str(tmp_path / "o"),
+                  "--parallelism", parallelism])
+        assert built == {"max_in_flight": bound}
+
+    def test_chat_keeps_the_default_bound(self, built):
+        with pytest.raises(_Built):
+            main(["chat", *self.LIVE])
+        assert built == {"max_in_flight": DEFAULT_MAX_IN_FLIGHT}

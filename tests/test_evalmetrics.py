@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import FIXTURES
+from conductor import evalmetrics
+from conductor.backend import ReplayBackend
 from conductor.core import (
     CallUsage,
     Evidence,
@@ -15,13 +19,17 @@ from conductor.core import (
     RunRecord,
     SchemaKind,
 )
+from conductor.data import load_dataset, references_from_samples, select_demonstrations
 from conductor.errors import EmptyCandidate, LengthMismatch
 from conductor.evalmetrics import (
     EvalConfig,
+    _lcs_length,
+    _ngrams,
     avg_bleu,
     corpus_bleu,
     distinct_n,
     modified_ngram_precision,
+    per_sample_avg_bleu,
     retrieval_accuracy,
     rouge_l,
     score_run,
@@ -29,10 +37,17 @@ from conductor.evalmetrics import (
     strategy_distribution,
     token_f1,
 )
+from conductor.pipelines import Method, MethodConfig, run_batch
 from conductor.plangrammar import StrategyPlanStep
 from conductor.retrieval import Bm25Retriever, Corpus
 
 _tokens = st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=15)
+
+
+class TestNgrams:
+    @given(st.lists(st.sampled_from("abc"), max_size=20), st.integers(1, 5))
+    def test_matches_naive_slices(self, tokens, n):
+        assert _ngrams(tokens, n) == Counter(oracles.ngram_list(tokens, n))
 
 
 class TestNgramPrecision:
@@ -149,6 +164,15 @@ class TestRougeL:
     @given(_tokens, _tokens)
     def test_matches_oracle(self, cand, ref):
         assert rouge_l(cand, ref) == pytest.approx(oracles.rouge_l(cand, ref), abs=1e-9)
+
+    # Up to 100 tokens a side: past one 64-bit word of the bit-vector LCS,
+    # and within the recursion depth of the memoized oracle.
+    @given(
+        st.lists(st.sampled_from("abcde"), max_size=100),
+        st.lists(st.sampled_from("abcde"), max_size=100),
+    )
+    def test_lcs_length_matches_oracle(self, a, b):
+        assert _lcs_length(a, b) == oracles.lcs(a, b)
 
     @given(st.integers(0, 8), st.integers(0, 50))
     def test_symmetry_at_equal_lengths(self, length, seed):
@@ -360,3 +384,51 @@ class TestScoreRun:
         assert report.aggregates["F1"] == pytest.approx(want_f1, abs=1e-9)
         assert report.aggregates["Rouge.L"] == pytest.approx(want_rouge, abs=1e-9)
         assert 0.0 < report.aggregates["Avg.B"] < 100.0
+
+
+def _fixture_batch(kind: SchemaKind) -> tuple[list[RunRecord], list[tuple[str, str]]]:
+    if kind is SchemaKind.PSYQA:
+        texts = [d.response_text for d in select_demonstrations(kind, "tpe")]
+        records = [
+            RunRecord(sample_id=f"p{i}", method="tpe", kind=kind, response=text)
+            for i, text in enumerate(texts)
+        ]
+        return records, [(r.sample_id, text) for r, text in zip(records, texts[::-1])]
+    samples = load_dataset(str(FIXTURES / f"{kind.value}_samples.jsonl"), kind)
+    backend = ReplayBackend.load(str(FIXTURES / "replay.jsonl"))
+    records = run_batch(samples, MethodConfig(method=Method.TPE, dataset_kind=kind), backend)
+    return records, references_from_samples(samples)
+
+
+@pytest.mark.parametrize("kind", list(SchemaKind))
+def test_score_run_tokenizes_each_record_once(kind, monkeypatch):
+    records, references = _fixture_batch(kind)
+    texts = []
+    tokenize = evalmetrics.tokenize
+
+    def counting(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(evalmetrics, "tokenize", counting)
+    report = score_run(records, references, EvalConfig(kind=kind))
+    monkeypatch.undo()
+    assert len(texts) == 2 * len(records)
+
+    candidates = [record.response for record in records]
+    golds = [text for _, text in references]
+    per_sample = {
+        "Avg.B": per_sample_avg_bleu(candidates, golds),
+        "F1": list(map(token_f1, candidates, golds)),
+        "Rouge.L": list(map(rouge_l, candidates, golds)),
+    }
+    aggregates = {
+        "sBLEU": corpus_bleu(candidates, golds),
+        "D-1": 100.0 * distinct_n(candidates, 1),
+    }
+    for name, values in report.per_sample.items():
+        assert [v.hex() for v in values] == [v.hex() for v in per_sample[name]], name
+        aggregates[name] = 100.0 * sum(per_sample[name]) / len(values)
+    assert {k: v.hex() for k, v in report.aggregates.items()} == {
+        k: aggregates[k].hex() for k in report.aggregates
+    }
