@@ -2,15 +2,20 @@
 
 Runs ``python3 perfbench/run.py`` untraced on a checkout of a base revision
 and on the working tree, one pair per (seed, workload), alternating which
-side runs first from pair to pair. Writes ``BENCH_<label>.json`` at the
-repository root with the machine, the Python version, every run's metrics
-and, per workload and side, the median and quartiles of each end-to-end
-metric in ``BENCHMARK.json``, plus how many pairs the change won.
+side runs first from pair to pair. Every workload in ``BENCHMARK.json`` runs
+for its ``run_seconds``. Writes ``BENCH_<label>.json`` at the repository
+root with the machine, the Python version, every run's metrics and, per
+workload and side, the median and quartiles of each end-to-end metric in
+``BENCHMARK.json``, plus how many pairs the change won.
 
 Run from the repository root, standard library only:
 
-    python3 scripts/bench_pairs.py --label eval_tokenize_once --base HEAD \\
+    python3 scripts/bench_pairs.py --label eval_tokenize_once --base HEAD~1 \\
         --seeds 1 2 3 4 5 7 8 9 10 11
+
+``--base`` is the revision before the change. With the change still
+uncommitted that is ``HEAD``; once it is committed, ``HEAD~1``. The script
+refuses a base that is the same code as the working tree.
 
 The base revision is extracted with ``git archive`` into a temporary
 directory, so an interrupted run leaves no worktree registered in ``.git``.
@@ -35,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in CONTRACT["workloads"]]
 INFO_LINE = re.compile(r"^  ([a-z_ ]+): (.*)$")
 
 
@@ -64,11 +70,12 @@ def machine() -> dict:
     }
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run: exit code, info lines and metric values."""
     command = [
         sys.executable, "perfbench/run.py",
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(CONTRACT["run_seconds"]),
         "--trace", "0",
     ]
     started = time.time()
@@ -93,11 +100,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict], workloads: list[str]) -> dict:
+def summarize(runs: list[dict]) -> dict:
     """Per workload: each side's median and quartiles, and pairs won."""
     better = {m["name"]: m["better"] for m in CONTRACT["end_to_end"]}
     summary = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         ok = [r for r in runs if r["workload"] == workload and "metrics" in r]
         pairs = {}
         for r in ok:
@@ -123,17 +130,23 @@ def summarize(runs: list[dict], workloads: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--base", default="HEAD", help="revision the working tree is compared to")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument(
-        "--workloads", nargs="+", default=[w["name"] for w in CONTRACT["workloads"]]
+        "--base", required=True, help="revision the working tree is compared to"
     )
-    parser.add_argument("--seconds", type=float, default=CONTRACT["run_seconds"])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
 
-    base_rev = git("rev-parse", args.base).decode().strip()
+    try:
+        base_rev = git("rev-parse", "--verify", args.base + "^{commit}").decode().strip()
+    except subprocess.CalledProcessError:
+        parser.error(f"--base {args.base} is not a commit")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     head = git("rev-parse", "HEAD").decode().strip()
+    if not dirty and git("rev-parse", base_rev + "^{tree}") == git("rev-parse", "HEAD^{tree}"):
+        parser.error(
+            f"--base {args.base} has the same files as the clean working tree; "
+            "both sides would run the same code"
+        )
     runs: list[dict] = []
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -142,10 +155,10 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": base_tree, "change": ROOT}
         pair = 0
         for seed in args.seeds:
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    run = bench_once(trees[side], workload, seed, args.seconds)
+                    run = bench_once(trees[side], workload, seed)
                     runs.append({"workload": workload, "seed": seed, "side": side, **run})
                     print(
                         f"pair {pair} {workload} seed={seed} {side}: exit={run['exit']} "
@@ -163,10 +176,10 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "python": sys.version.split()[0],
         "command": "python3 perfbench/run.py --trace 0",
-        "seconds": args.seconds,
+        "seconds": CONTRACT["run_seconds"],
         "seeds": args.seeds,
         "order": "pairs alternate which side runs first",
-        "summary": summarize(runs, args.workloads),
+        "summary": summarize(runs),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
