@@ -6,7 +6,10 @@ side runs first from pair to pair. Every workload in ``BENCHMARK.json`` runs
 for its ``run_seconds``. Writes ``BENCH_<label>.json`` at the repository
 root with the machine, the Python version, every run's metrics and, per
 workload and side, the median and quartiles of each end-to-end metric in
-``BENCHMARK.json``, plus how many pairs the change won.
+``BENCHMARK.json``, how many pairs the change won and each run's
+``pool_extensions``. A pair whose sides extended their replay pools a
+different number of times gets a warning on standard error and in
+``uneven_pool_pairs``: the reload raises that side's ``peak_rss_mb``.
 
 Run from the repository root, standard library only:
 
@@ -100,8 +103,29 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def extensions(run: dict) -> int:
+    return int(run["info"].get("pool_extensions", 0))
+
+
+def uneven_pools(runs: list[dict]) -> list[str]:
+    """One warning per pair in which the sides extended their pools a
+    different number of times: a reloaded pool raises that side's
+    `peak_rss_mb` whatever the program does."""
+    sides: dict = {}
+    for r in runs:
+        if "metrics" in r:
+            sides.setdefault((r["workload"], r["seed"]), {})[r["side"]] = extensions(r)
+    return [
+        f"{workload} seed={seed}: pool extended base {counts['base']}x, "
+        f"change {counts['change']}x; peak_rss_mb not comparable in this pair"
+        for (workload, seed), counts in sides.items()
+        if len(counts) == 2 and counts["base"] != counts["change"]
+    ]
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Per workload: each side's median and quartiles, and pairs won."""
+    """Per workload: each side's median and quartiles, pairs won, and each
+    side's pool extensions per run, in seed order."""
     better = {m["name"]: m["better"] for m in CONTRACT["end_to_end"]}
     summary = {}
     for workload in WORKLOADS:
@@ -123,6 +147,10 @@ def summarize(runs: list[dict]) -> dict:
             if len(sides) == 2 and sides["base"]["median"]:
                 row["ratio"] = sides["change"]["median"] / sides["base"]["median"]
             rows[name] = row
+        rows["pool_extensions"] = {
+            side: [extensions(r) for r in ok if r["side"] == side]
+            for side in ("base", "change")
+        }
         summary[workload] = rows
     return summary
 
@@ -180,10 +208,13 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "order": "pairs alternate which side runs first",
         "summary": summarize(runs),
+        "uneven_pool_pairs": uneven_pools(runs),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for warning in result["uneven_pool_pairs"]:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {out}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 

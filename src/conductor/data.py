@@ -77,6 +77,14 @@ class Sample:
         return (self.document_candidates[self.gold_document_index],)
 
 
+# Gold strategy names each strategy schema accepts.
+_GOLD_STRATEGIES = {
+    kind: frozenset(profile_for(kind).strategy_toolset.names()) | {OTHERS_LABEL}
+    for kind in SchemaKind
+    if profile_for(kind).strategy_toolset is not None
+}
+
+
 def _require(obj: dict, key: str, type_: type, line_no: int) -> Any:
     if key not in obj:
         raise SchemaViolation(line_no, f"missing field {key!r}")
@@ -148,8 +156,7 @@ def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
         strategies = _require(obj, "gold_strategies", list, line_no)
         if not strategies:
             raise SchemaViolation(line_no, "gold_strategies must be non-empty")
-        toolset = profile_for(kind).strategy_toolset
-        allowed = set(toolset.names()) | {OTHERS_LABEL}
+        allowed = _GOLD_STRATEGIES[kind]
         for name in strategies:
             if not isinstance(name, str) or name not in allowed:
                 raise SchemaViolation(line_no, f"unknown gold strategy {name!r}")
@@ -298,8 +305,14 @@ def _from_obj(cls: type, obj: Any, **read: Callable[[Any], Any]) -> Any:
         value = obj.get(key, default)
         if value is MISSING:
             raise ValueError(f"missing {cls.__name__} field {key!r}")
-        if value is not default:  # else the dataclass fills in its default
-            values[attr] = read[attr](value) if attr in read else _check(value, leaf, key)
+        if value is default:
+            continue  # the dataclass fills in its default
+        if attr in read:
+            values[attr] = read[attr](value)
+        elif type(value) is leaf:
+            values[attr] = value
+        else:
+            _check(value, leaf, key)  # raises: the type is wrong
     return cls(**values)
 
 

@@ -5,7 +5,10 @@ character) so they stay mutually consistent across English and Chinese
 responses. Every metric accepts a string or a token list; `score_run`
 tokenizes each record's candidate and gold once and passes the token lists
 to every metric of the panel. Rouge-L's LCS uses the bit-vector method
-(Allison & Dix 1986; Hyyrö 2004), one Python int per reference. Sentence
+(Allison & Dix 1986; Hyyrö 2004), one Python int per reference. BLEU counts
+each side's 1- to n-grams in one `Counter` and clips only the n-grams both
+sides share; a single reference's counts are used as they are. Every n-gram
+comes from one `zip` over shifted slices. Sentence
 BLEU, token F1, Rouge-L, and distinct-n live in [0, 1];
 corpus BLEU is reported on the usual 0–100 scale; the report table puts the
 per-sample metrics on 0–100 as well, matching how such results are
@@ -23,7 +26,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from conductor.core import Evidence, RunRecord, SchemaKind
 from conductor.errors import EmptyCandidate, LengthMismatch
@@ -37,8 +41,14 @@ def _as_tokens(value: str | Tokens) -> list[str]:
     return tokenize(value) if isinstance(value, str) else list(value)
 
 
-def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _grams(tokens: Tokens, n: int) -> Iterator[tuple[str, ...]]:
+    """The n-grams of `tokens` in order, as tuples."""
+    return zip(*(tokens[i:] for i in range(n)))
+
+
+def _ngrams_1_to_n(tokens: Tokens, n: int) -> Counter:
+    """Counts of every 1- to n-gram of `tokens`; a gram's order is its length."""
+    return Counter(chain.from_iterable(_grams(tokens, order) for order in range(1, n + 1)))
 
 
 def _check_corpus(candidates: Sequence, references: Sequence) -> None:
@@ -52,14 +62,21 @@ def _check_corpus(candidates: Sequence, references: Sequence) -> None:
 # BLEU
 
 
-def _clipped(candidate_tokens: Tokens, ref_counts: Counter, n: int) -> tuple[int, int]:
-    """Candidate n-grams clipped by prebuilt reference counts, and their total."""
-    total = max(0, len(candidate_tokens) - n + 1)
-    if total == 0:
-        return 0, 0
-    cand_counts = _ngrams(candidate_tokens, n)
-    clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-    return clipped, total
+def _clipped_1_to_n(
+    candidate_tokens: Tokens, ref_counts: Counter, n: int
+) -> tuple[list[int], list[int]]:
+    """Per order 1..n, the candidate's n-grams clipped by prebuilt reference
+    counts (from `_ngrams_1_to_n`), and their totals.
+
+    Only n-grams both sides hold can match, so the clipped sums visit the
+    shared n-grams alone (Papineni et al. 2002).
+    """
+    cand_counts = _ngrams_1_to_n(candidate_tokens, n)
+    clipped = [0] * (n + 1)
+    for gram in cand_counts.keys() & ref_counts.keys():
+        clipped[len(gram)] += min(cand_counts[gram], ref_counts[gram])
+    totals = [max(0, len(candidate_tokens) - order + 1) for order in range(1, n + 1)]
+    return clipped[1:], totals
 
 
 def modified_ngram_precision(
@@ -68,7 +85,10 @@ def modified_ngram_precision(
     """Clipped n-gram matches and total candidate n-grams."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _clipped(candidate_tokens, _ngrams(reference_tokens, n), n)
+    clipped, totals = _clipped_1_to_n(
+        candidate_tokens, _ngrams_1_to_n(reference_tokens, n), n
+    )
+    return clipped[-1], totals[-1]
 
 
 def brevity_penalty(ref_len: int, cand_len: int) -> float:
@@ -88,13 +108,13 @@ def _bleu_1_to_n(
     # closest reference length; ties prefer the shorter reference
     ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
     bp = brevity_penalty(ref_len, len(cand))
+    ref_counts = _ngrams_1_to_n(refs[0], n)
+    for ref in refs[1:]:
+        ref_counts |= _ngrams_1_to_n(ref, n)
+    all_clipped, all_totals = _clipped_1_to_n(cand, ref_counts, n)
     values: list[float] = []
     log_sum = 0.0
-    for order in range(1, n + 1):
-        ref_counts: Counter = Counter()
-        for ref in refs:
-            ref_counts |= _ngrams(ref, order)
-        clipped, total = _clipped(cand, ref_counts, order)
+    for order, clipped, total in zip(range(1, n + 1), all_clipped, all_totals):
         if clipped > 0:
             precision = clipped / total
         elif smoothing:
@@ -176,10 +196,10 @@ def corpus_bleu(
         ref_tokens = _as_tokens(ref)
         cand_len_sum += len(cand_tokens)
         ref_len_sum += len(ref_tokens)
-        for order in range(1, 5):
-            clipped, total = modified_ngram_precision(cand_tokens, ref_tokens, order)
-            clipped_totals[order - 1] += clipped
-            totals[order - 1] += total
+        clipped, total = _clipped_1_to_n(cand_tokens, _ngrams_1_to_n(ref_tokens, 4), 4)
+        for order in range(4):
+            clipped_totals[order] += clipped[order]
+            totals[order] += total[order]
 
     smooth = 1.0
     log_sum = 0.0
@@ -256,9 +276,8 @@ def distinct_n(candidates: Sequence[str | Tokens], n: int) -> float:
     total = 0
     for cand in candidates:
         tokens = _as_tokens(cand)
-        for i in range(len(tokens) - n + 1):
-            seen.add(tuple(tokens[i : i + n]))
-            total += 1
+        seen.update(_grams(tokens, n))
+        total += max(0, len(tokens) - n + 1)
     if total == 0:
         return 0.0
     return len(seen) / total

@@ -27,6 +27,7 @@ computable.
 
 from __future__ import annotations
 
+import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +78,8 @@ from conductor.plangrammar import (
 )
 from conductor.profiles import DatasetProfile, profile_for
 from conductor.retrieval import Bm25Retriever, Corpus, enrich_query
+
+_log = logging.getLogger(__name__)
 
 FEWSHOT_STOP = ("Dialogue:",)
 REACT_STOP = ("Observation:", "Dialogue:")
@@ -244,7 +247,8 @@ def run_method(
 ) -> RunRecord:
     """Execute one sample through the configured pipeline.
 
-    Backend and plan failures are captured in the record's error field; a
+    Backend and plan failures are captured in the record's error field, and
+    any other exception as an "InternalError" whose traceback is logged; a
     batch never aborts on a single sample.
     """
     run = _Run(sample, config, backend)
@@ -252,6 +256,9 @@ def run_method(
         FLOWS[config.method, run.profile.is_multi_source](run)
     except ConductorError as exc:
         run.fail(exc)
+    except Exception as exc:  # a defect must not lose the batch's other records
+        _log.exception("sample %s failed", sample.id)
+        run.flag("InternalError", f"{type(exc).__name__}: {exc}")
     if run.error is None and not run.response:
         run.flag("EmptyResponse", "pipeline produced an empty response")
     usages = tuple(g.usage() for g in run.generations)

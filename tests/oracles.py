@@ -3,12 +3,15 @@
 These are written in the most naive transparent style on purpose: list
 slicing and .count() instead of Counters, memoized recursion instead of a
 DP table, per-document rescans for document frequencies. They must not
-share code with the implementations they check.
+share code with the implementations they check. The per-gram kernels at the
+end are the exception: copies of an earlier implementation, kept so that a
+faster rewrite can be held to bit-identical floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 
@@ -159,3 +162,105 @@ def bm25_rank(docs, query_terms, k, k1=1.5, b=0.75):
     scores = bm25_scores(docs, query_terms, k1=k1, b=b)
     ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
     return ranked[:k]
+
+
+# ---------------------------------------------------------------------------
+# Per-gram BLEU and distinct-n kernels, as `conductor.evalmetrics` computed
+# them before clipping visited only shared n-grams: every candidate n-gram is
+# looked up in the reference Counter (a missing one reads 0), the reference
+# counts are always a fresh Counter union, and distinct-n slices one tuple
+# per n-gram. The faster kernels must give float.hex-equal results.
+
+
+def _counter_ngrams(tokens, n):
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _per_gram_clipped(cand, ref_counts, n):
+    total = max(0, len(cand) - n + 1)
+    if total == 0:
+        return 0, 0
+    cand_counts = _counter_ngrams(cand, n)
+    clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+    return clipped, total
+
+
+def per_gram_precision(cand, ref, n):
+    return _per_gram_clipped(cand, _counter_ngrams(ref, n), n)
+
+
+def _brevity_penalty(ref_len, cand_len):
+    if cand_len == 0:
+        return 0.0
+    return min(1.0, math.exp(1.0 - ref_len / cand_len))
+
+
+def per_gram_bleu_1_to_n(cand, refs, n, smoothing):
+    ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+    bp = _brevity_penalty(ref_len, len(cand))
+    values = []
+    log_sum = 0.0
+    for order in range(1, n + 1):
+        ref_counts = Counter()
+        for ref in refs:
+            ref_counts |= _counter_ngrams(ref, order)
+        clipped, total = _per_gram_clipped(cand, ref_counts, order)
+        if clipped > 0:
+            precision = clipped / total
+        elif smoothing:
+            precision = (clipped + 1) / (total + 1)
+        else:
+            return values + [0.0] * (n - len(values))
+        log_sum += math.log(precision)
+        values.append(bp * math.exp(log_sum / order))
+    return values
+
+
+def per_gram_avg_bleu_values(candidates, references):
+    return [
+        sum(per_gram_bleu_1_to_n(cand, [ref], 4, True)) / 4.0 if cand else 0.0
+        for cand, ref in zip(candidates, references)
+    ]
+
+
+def per_gram_corpus_bleu(candidates, references):
+    clipped_totals = [0] * 4
+    totals = [0] * 4
+    cand_len_sum = 0
+    ref_len_sum = 0
+    for cand, ref in zip(candidates, references):
+        cand_len_sum += len(cand)
+        ref_len_sum += len(ref)
+        for order in range(1, 5):
+            clipped, total = per_gram_precision(cand, ref, order)
+            clipped_totals[order - 1] += clipped
+            totals[order - 1] += total
+    smooth = 1.0
+    log_sum = 0.0
+    effective_orders = 0
+    for order in range(4):
+        if totals[order] == 0:
+            break
+        if clipped_totals[order] > 0:
+            precision = clipped_totals[order] / totals[order]
+        else:
+            smooth *= 2.0
+            precision = 1.0 / (smooth * totals[order])
+        log_sum += math.log(precision)
+        effective_orders += 1
+    if effective_orders == 0:
+        return 0.0
+    bp = _brevity_penalty(ref_len_sum, cand_len_sum)
+    return 100.0 * bp * math.exp(log_sum / effective_orders)
+
+
+def per_gram_distinct_n(candidates, n):
+    seen = set()
+    total = 0
+    for tokens in candidates:
+        for i in range(len(tokens) - n + 1):
+            seen.add(tuple(tokens[i : i + n]))
+            total += 1
+    if total == 0:
+        return 0.0
+    return len(seen) / total

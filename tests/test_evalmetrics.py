@@ -23,8 +23,9 @@ from conductor.data import load_dataset, references_from_samples, select_demonst
 from conductor.errors import EmptyCandidate, LengthMismatch
 from conductor.evalmetrics import (
     EvalConfig,
+    _bleu_1_to_n,
     _lcs_length,
-    _ngrams,
+    _ngrams_1_to_n,
     avg_bleu,
     corpus_bleu,
     distinct_n,
@@ -47,7 +48,10 @@ _tokens = st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=15)
 class TestNgrams:
     @given(st.lists(st.sampled_from("abc"), max_size=20), st.integers(1, 5))
     def test_matches_naive_slices(self, tokens, n):
-        assert _ngrams(tokens, n) == Counter(oracles.ngram_list(tokens, n))
+        naive = Counter(
+            gram for order in range(1, n + 1) for gram in oracles.ngram_list(tokens, order)
+        )
+        assert _ngrams_1_to_n(tokens, n) == naive
 
 
 class TestNgramPrecision:
@@ -197,6 +201,55 @@ class TestDistinctN:
         assert distinct_n(candidates, n) == pytest.approx(
             oracles.distinct_n(candidates, n), abs=1e-9
         )
+
+
+# 0-40 tokens over 3-5 symbols, so n-grams repeat within and across lists.
+_repeating = st.integers(3, 5).flatmap(
+    lambda k: st.lists(st.sampled_from("abcde"[:k]), max_size=40)
+)
+_pairs = st.lists(st.tuples(_repeating, _repeating), min_size=1, max_size=4)
+
+
+def _hex(values):
+    return [value.hex() for value in values]
+
+
+class TestSharedGramKernelsMatchPerGramCopies:
+    """Each kernel against its per-gram form in `oracles`, to the last bit."""
+
+    @given(_repeating, _repeating, st.integers(1, 4))
+    def test_precision(self, cand, ref, n):
+        assert modified_ngram_precision(cand, ref, n) == oracles.per_gram_precision(cand, ref, n)
+
+    @given(
+        _repeating,
+        st.lists(_repeating, min_size=1, max_size=3),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_bleu_1_to_n(self, cand, refs, n, smoothing):
+        assert _hex(_bleu_1_to_n(cand, refs, n, smoothing)) == _hex(
+            oracles.per_gram_bleu_1_to_n(cand, refs, n, smoothing)
+        )
+
+    @given(_pairs)
+    def test_per_sample_avg_bleu(self, pairs):
+        candidates, references = zip(*pairs)
+        assert _hex(per_sample_avg_bleu(candidates, references)) == _hex(
+            oracles.per_gram_avg_bleu_values(candidates, references)
+        )
+
+    @given(_pairs)
+    def test_corpus_bleu(self, pairs):
+        candidates, references = zip(*pairs)
+        assert (
+            corpus_bleu(candidates, references).hex()
+            == oracles.per_gram_corpus_bleu(candidates, references).hex()
+        )
+
+    @given(st.lists(_repeating, max_size=6), st.integers(1, 4))
+    def test_distinct_n(self, candidates, n):
+        assert distinct_n(candidates, n).hex() == oracles.per_gram_distinct_n(candidates, n).hex()
 
 
 def _strategy_record(sample_id: str, names: list[str]) -> RunRecord:

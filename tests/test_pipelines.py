@@ -6,9 +6,9 @@ import pytest
 
 from conftest import FIXTURES, QueueBackend
 from conductor import retrieval
-from conductor.backend import ReplayBackend
-from conductor.core import Dialogue, SchemaKind, Utterance, render_toolset
-from conductor.data import Sample, load_dataset
+from conductor.backend import Backend, ReplayBackend
+from conductor.core import Dialogue, ErrorInfo, SchemaKind, Utterance, render_toolset
+from conductor.data import Sample, export_records, load_dataset, load_records
 from conductor.errors import ConfigError, EmptyPlan, UnknownTool
 from conductor.pipelines import (
     Method,
@@ -562,7 +562,39 @@ class TestMethodConfig:
             MethodConfig(method=method, dataset_kind=kind)
 
 
+class _FaultyBackend(Backend):
+    """Replays the fixtures and keeps every prompt, but raises a non-conductor
+    error for the prompt `fault`."""
+
+    def __init__(self, fault: str | None = None):
+        self.inner = _replay()
+        self.fault = fault
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt_text)
+        if request.prompt_text == self.fault:
+            raise RuntimeError("injected fault")
+        return self.inner.complete(request)
+
+
 class TestBatch:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_unexpected_exception_becomes_one_record(self, parallelism, tmp_path):
+        samples = _focus_samples()
+        config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
+        probe = _FaultyBackend()
+        run_method(samples[1], config, probe)
+        clean = run_batch(samples, config, _replay())
+        faulty = _FaultyBackend(fault=probe.prompts[0])
+        records = run_batch(samples, config, faulty, parallelism=parallelism)
+        assert [r.sample_id for r in records] == ["f1", "f2", "f3"]
+        assert records[1].error == ErrorInfo("InternalError", "RuntimeError: injected fault")
+        assert records[0] == clean[0] and records[2] == clean[2]
+        path = tmp_path / "records.jsonl"
+        export_records(records, str(path))
+        assert load_records(str(path)) == records
+
     def test_parallel_equals_serial(self):
         samples = _focus_samples()
         config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
