@@ -11,6 +11,14 @@ workload and side, the median and quartiles of each end-to-end metric in
 different number of times gets a warning on standard error and in
 ``uneven_pool_pairs``: the reload raises that side's ``peak_rss_mb``.
 
+On the first seed each workload also runs once traced (``--trace 1``) per
+side. A traced run does fixed work, so its per-layer counts are
+deterministic: every per-layer metric whose ``BENCHMARK.json`` unit is
+``count`` and whose value differs between the sides is listed in
+``traced_count_diffs`` and on standard error. An empty list means the
+change does the same counted work (template loads, renders, tokenizer
+calls, backend calls, ...) as the base.
+
 Run from the repository root, standard library only:
 
     python3 scripts/bench_pairs.py --label eval_tokenize_once --base HEAD~1 \\
@@ -73,13 +81,13 @@ def machine() -> dict:
     }
 
 
-def bench_once(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run: exit code, info lines and metric values."""
+def bench_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One benchmark run: exit code, info lines and metric values."""
     command = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(CONTRACT["run_seconds"]),
-        "--trace", "0",
+        "--trace", str(trace),
     ]
     started = time.time()
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -121,6 +129,24 @@ def uneven_pools(runs: list[dict]) -> list[str]:
         for (workload, seed), counts in sides.items()
         if len(counts) == 2 and counts["base"] != counts["change"]
     ]
+
+
+def count_diffs(traced: list[dict]) -> list[str]:
+    """One line per count-unit per-layer metric that differs between the
+    two traced sides of a workload, or per side that reported no metrics."""
+    names = [m["name"] for m in CONTRACT["per_layer"] if m["unit"] == "count"]
+    diffs = []
+    for workload in WORKLOADS:
+        sides = {r["side"]: r.get("metrics") for r in traced if r["workload"] == workload}
+        missing = [side for side in ("base", "change") if not sides.get(side)]
+        if missing:
+            diffs.extend(f"{workload}: no traced metrics from {side}" for side in missing)
+            continue
+        for name in names:
+            base, change = sides["base"].get(name), sides["change"].get(name)
+            if base != change:
+                diffs.append(f"{workload} {name}: base {base}, change {change}")
+    return diffs
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -176,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             "both sides would run the same code"
         )
     runs: list[dict] = []
+    traced: list[dict] = []
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         base_tree = scratch / "base"
@@ -193,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
                         f"{run.get('metrics', run.get('stderr_tail'))}",
                         flush=True,
                     )
+                    if seed == args.seeds[0]:
+                        run = bench_once(trees[side], workload, seed, trace=1)
+                        traced.append({"workload": workload, "seed": seed, "side": side, **run})
+                        print(f"traced {workload} seed={seed} {side}: exit={run['exit']}", flush=True)
                 pair += 1
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -203,20 +234,24 @@ def main(argv: list[str] | None = None) -> int:
         "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
         "machine": machine(),
         "python": sys.version.split()[0],
-        "command": "python3 perfbench/run.py --trace 0",
+        "command": "python3 perfbench/run.py --trace 0; --trace 1 once per side on the first seed",
         "seconds": CONTRACT["run_seconds"],
         "seeds": args.seeds,
         "order": "pairs alternate which side runs first",
         "summary": summarize(runs),
         "uneven_pool_pairs": uneven_pools(runs),
+        "traced_count_diffs": count_diffs(traced),
         "runs": runs,
+        "traced_runs": traced,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for warning in result["uneven_pool_pairs"]:
         print(f"warning: {warning}", file=sys.stderr)
+    for diff in result["traced_count_diffs"]:
+        print(f"traced count differs: {diff}", file=sys.stderr)
     print(f"wrote {out}")
-    return 0 if all(r["exit"] == 0 for r in runs) else 1
+    return 0 if all(r["exit"] == 0 for r in runs + traced) else 1
 
 
 if __name__ == "__main__":

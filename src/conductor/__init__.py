@@ -26,7 +26,6 @@ from conductor.core import (
     RunRecord,
     SchemaKind,
     Thought,
-    ToolKind,
     ToolSet,
     Utterance,
     render_dialogue,

@@ -335,7 +335,9 @@ def _reply_generation(
     """The Generation a 200 reply carries, estimating only a token count the
     server leaves out. None for a body that is not JSON, lacks
     ``choices[0].message.content``, or carries non-string content or a token
-    count that is not a non-negative integer."""
+    count that is not a non-negative integer. An unpaired surrogate escape
+    in the content (``"\\ud83d"``) becomes U+FFFD, so the record it ends up
+    in can be written as UTF-8."""
     try:
         payload = response.json()
         text = payload["choices"][0]["message"]["content"]
@@ -347,6 +349,7 @@ def _reply_generation(
         count is None or (type(count) is int and count >= 0) for count in counts
     ):
         return None
+    text = text.encode("utf-16", "surrogatepass").decode("utf-16", "replace")
     prompt_tokens, completion_tokens = counts
     if prompt_tokens is None:
         prompt_tokens = estimate_tokens(request.prompt_text)

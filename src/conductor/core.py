@@ -35,11 +35,6 @@ ROLE_LABELS: dict[SchemaKind, tuple[str, str]] = {
 }
 
 
-class ToolKind(Enum):
-    SOURCE = "source"
-    STRATEGY = "strategy"
-
-
 @dataclass(frozen=True)
 class Utterance:
     speaker: str
@@ -87,7 +82,6 @@ class ConceptualTool:
 
     name: str
     description: str
-    kind: ToolKind
     examples: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -99,16 +93,12 @@ class ConceptualTool:
 
 @dataclass(frozen=True)
 class ToolSet:
-    kind: ToolKind
     tools: tuple[ConceptualTool, ...]
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.tools]
         if len(set(names)) != len(names):
             raise ValueError("tool names must be pairwise distinct")
-        for tool in self.tools:
-            if tool.kind != self.kind:
-                raise ValueError(f"tool {tool.name!r} does not match set kind")
 
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tools)
@@ -126,7 +116,6 @@ class Demonstration:
     (drop thought, drop plan) are mechanical rather than string surgery."""
 
     dialogue_text: str
-    method_tag: str
     thought_text: str | None = None
     plan_text: str | None = None
     response_text: str | None = None
@@ -286,27 +275,13 @@ def render_extras(extras: Iterable[tuple[str, str]]) -> str:
     return "".join(f"{label}: {text}\n" for label, text in extras)
 
 
-# How each pipeline views a demonstration. Structured fields make ablations
-# (drop thought, drop plan) a rendering choice instead of string surgery.
-DEMO_VIEWS = (
-    "thinker",
-    "planner",
-    "response",
-    "status",
-    "status_response",
-    "react",
-    "rewoo",
-    "modules",
-    "strategies",
-)
-
-
 def render_demonstration(
     demo: Demonstration, view: str, include_thought: bool = True
 ) -> str:
-    """Render one demonstration block for the given pipeline view."""
-    if view not in DEMO_VIEWS:
-        raise ValueError(f"unknown demo view {view!r}")
+    """Render one demonstration block for the given pipeline view.
+
+    Structured fields make ablations (drop thought, drop plan) a rendering
+    choice instead of string surgery."""
     lines = [f"Dialogue: {demo.dialogue_text}"]
     if view == "thinker":
         lines.append(f"Thought: {demo.thought_text}")
@@ -324,11 +299,13 @@ def render_demonstration(
     elif view == "react":
         lines.append(demo.plan_text or "")
     elif view == "rewoo":
-        lines = [f"Dialogue: {demo.dialogue_text}", "", "--PLANNER--", demo.plan_text or ""]
+        lines += ["", "--PLANNER--", demo.plan_text or ""]
     elif view == "modules":
         lines.append(f"Modules: {demo.plan_text}")
     elif view == "strategies":
         lines.append(f"Strategies: {demo.plan_text}")
+    else:
+        raise ValueError(f"unknown demo view {view!r}")
     return "\n".join(lines)
 
 

@@ -94,6 +94,15 @@ def _require(obj: dict, key: str, type_: type, line_no: int) -> Any:
     return value
 
 
+def _index(value: Any, key: str, bound: int, line_no: int) -> int:
+    """A candidate index; a JSON boolean is not one."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise SchemaViolation(
+            line_no, f"{key} out of range: {value!r} is not an int in 0..{bound - 1}"
+        )
+    return value
+
+
 def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
     sample_id = _require(obj, "id", str, line_no)
     if not sample_id:
@@ -139,19 +148,18 @@ def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
             raise SchemaViolation(line_no, "candidate texts must be strings")
         persona_candidates = tuple(personas)
         document_candidates = tuple(documents)
-        if "gold_persona_indices" in obj and obj["gold_persona_indices"] is not None:
-            indices = tuple(obj["gold_persona_indices"])
-            if any(
-                not isinstance(i, int) or not 0 <= i < FOCUS_PERSONA_CANDIDATES
-                for i in indices
-            ):
-                raise SchemaViolation(line_no, "gold_persona_indices out of range")
-            gold_persona_indices = indices
-        if "gold_document_index" in obj and obj["gold_document_index"] is not None:
-            index = obj["gold_document_index"]
-            if not isinstance(index, int) or not 0 <= index < FOCUS_DOCUMENT_CANDIDATES:
-                raise SchemaViolation(line_no, "gold_document_index out of range")
-            gold_document_index = index
+        if obj.get("gold_persona_indices") is not None:
+            gold_persona_indices = tuple(
+                _index(i, "gold_persona_indices", FOCUS_PERSONA_CANDIDATES, line_no)
+                for i in _require(obj, "gold_persona_indices", list, line_no)
+            )
+        if obj.get("gold_document_index") is not None:
+            gold_document_index = _index(
+                obj["gold_document_index"],
+                "gold_document_index",
+                FOCUS_DOCUMENT_CANDIDATES,
+                line_no,
+            )
     else:
         strategies = _require(obj, "gold_strategies", list, line_no)
         if not strategies:
@@ -226,7 +234,6 @@ def select_demonstrations(
     demos = [
         Demonstration(
             dialogue_text=record["dialogue"],
-            method_tag=method,
             thought_text=record.get("thought"),
             plan_text=record.get("plan"),
             response_text=record.get("response"),

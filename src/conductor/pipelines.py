@@ -16,13 +16,16 @@ maps a sample to a RunRecord through a fixed call pattern:
   modules run independently (deliberately: that independence is the
   baseline's known weakness and is preserved, not fixed).
 
-Every retrieval, whichever flow asks for it, goes through `_Run.retrieve`.
-A pair missing from `FLOWS` is a ConfigError when the MethodConfig is built.
+Every prompt is rendered by `_Run.prompt` and every retrieval, whichever
+flow asks for it, goes through `_Run.retrieve`. A pair missing from `FLOWS`
+is a ConfigError when the MethodConfig is built, and a model missing from
+the price table is an UnpricedModel before the first backend call.
 
-Failures never abort a batch: parse and execution errors are captured in
-the record's error descriptor, and plan-shaped methods fall back to
-treating the raw generation as the response so corpus metrics stay
-computable.
+Failures never abort a batch, and every plan fails one way: when a plan
+(source plan, strategy plan, module list or reasoning/acting step) does not
+parse or names an unknown tool, the record keeps the error, drops the
+evidence and takes the raw generation as its response, so corpus metrics
+stay computable. Any other error fails the record with an empty response.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from conductor.backend import (
     Backend,
@@ -46,6 +49,7 @@ from conductor.core import (
     ErrorInfo,
     Evidence,
     EvidenceStore,
+    PromptTemplate,
     RunRecord,
     SchemaKind,
     Thought,
@@ -67,7 +71,7 @@ from conductor.errors import (
 )
 from conductor.plangrammar import (
     Finish,
-    ReActStep,
+    SourcePlanProgram,
     StrategyPlanStep,
     ToolCall,
     parse_module_list,
@@ -188,6 +192,27 @@ class _Run:
             for demo in demos
         )
 
+    def prompt(
+        self,
+        template: PromptTemplate,
+        persona: str | None = None,
+        demos: str = "",
+        extras: Iterable[tuple[str, str]] = (),
+        **slots: str,
+    ) -> str:
+        """`template` rendered for this sample: the named profile persona,
+        the demo slot, the labeled extra lines and the dialogue, plus any
+        template-specific `slots`. Values a template has no slot for are
+        ignored."""
+        if persona is not None:
+            slots["persona"] = self.profile.personas[persona]
+        return template.render(
+            demos=demos,
+            extras=render_extras(extras),
+            dialogue=self.context_text,
+            **slots,
+        )
+
     def toolset_lines(self, toolset: ToolSet) -> str:
         return render_toolset(
             toolset,
@@ -232,8 +257,7 @@ class _Run:
 
     def fail(self, exc: ConductorError, fallback_response: str = "") -> None:
         self.error = ErrorInfo(kind=type(exc).__name__, detail=str(exc))
-        if fallback_response and not self.response:
-            self.response = fallback_response
+        self.response = self.response or fallback_response
 
     def flag(self, kind: str, detail: str) -> None:
         self.error = ErrorInfo(kind=kind, detail=detail)
@@ -249,8 +273,10 @@ def run_method(
 
     Backend and plan failures are captured in the record's error field, and
     any other exception as an "InternalError" whose traceback is logged; a
-    batch never aborts on a single sample.
+    batch never aborts on a single sample. A model the price table lacks
+    raises UnpricedModel before any backend call is made.
     """
+    prices.rate_for(config.model_id)
     run = _Run(sample, config, backend)
     try:
         FLOWS[config.method, run.profile.is_multi_source](run)
@@ -299,90 +325,102 @@ def run_batch(
 # Method flows
 
 
-def _think(run: _Run) -> str:
-    prompt = load_template("tpe_thinker").render(
-        persona=run.profile.personas["thinker"],
-        demos=run.demo_slot("tpe", "thinker"),
-        extras="",
-        dialogue=run.context_text,
-    )
+def _think(run: _Run, template: str, method: str, view: str) -> str:
+    """The thinker (or status) call; a non-blank output becomes the thought."""
+    prompt = run.prompt(load_template(template), "thinker", run.demo_slot(method, view))
     text = run.complete(prompt).strip()
     run.thought = Thought(text) if text else None
     return text
 
 
-def _planner_extras(run: _Run, thought: str) -> str:
-    if run.config.include_thought_in_planner and thought:
-        return render_extras([("Thought", thought)])
-    return ""
+def _think_and_plan(
+    run: _Run, template: str, persona: str, toolset: ToolSet
+) -> tuple[str, str]:
+    """tpe's thinker call, then its planner call: (thought, raw plan)."""
+    thought = _think(run, "tpe_thinker", "tpe", "thinker")
+    include = run.config.include_thought_in_planner
+    prompt = run.prompt(
+        load_template(template),
+        persona,
+        run.demo_slot("tpe", "planner", include_thought=include),
+        [("Thought", thought)] if include and thought else (),
+        toolset=run.toolset_lines(toolset),
+    )
+    return thought, run.complete(prompt)
 
 
-def _knowledge_text(store: EvidenceStore) -> str:
-    return " ".join(store.text_of(variable) for variable in store.variables())
+def _parse_plan(run: _Run, cue: str, raw: str, parse: Callable[[str], Any]) -> Any:
+    """`parse` of a plan generation, re-prefixed with its prompt's `cue`
+    and kept as the record's raw plan; None once the record has failed.
 
-
-def _execute_source_plan(run: _Run, raw: str, sigil: str, context_text: str) -> bool:
-    """Parse a planner's source plan and retrieve its steps in order, each
-    query resolved against the earlier bindings and `context_text`. On any
-    failure the evidence is left empty and the raw generation becomes the
-    response; returns whether the plan ran to the end."""
-    run.raw_plan_text = with_cue("Plan:", raw)
+    This is the one plan failure policy: on any ConductorError (parsing, or
+    executing inside `parse`) the evidence is dropped, the error is
+    recorded and the raw generation becomes the response."""
+    run.raw_plan_text = with_cue(cue, raw)
     try:
-        program = parse_source_plan(run.raw_plan_text, sigil)
-        run.parsed_plan = program
-        for step in program.steps:
-            query = substitute_vars(step.query, run.store, context_text)
-            run.retrieve(step.output_var, step.source_name, query)
+        return parse(run.raw_plan_text)
     except ConductorError as exc:
         run.store = EvidenceStore()
         run.fail(exc, fallback_response=raw.strip())
-        return False
-    return True
+        return None
+
+
+def _run_source_plan(run: _Run, raw: str, sigil: str, context_text: str) -> bool:
+    """Parse a source plan and retrieve its steps in order, each query
+    resolved against the earlier bindings and `context_text`; returns
+    whether the plan ran to the end."""
+
+    def execute(text: str) -> SourcePlanProgram:
+        run.parsed_plan = program = parse_source_plan(text, sigil)
+        for step in program.steps:
+            query = substitute_vars(step.query, run.store, context_text)
+            run.retrieve(step.output_var, step.source_name, query)
+        return program
+
+    return _parse_plan(run, "Plan:", raw, execute) is not None
+
+
+def _retrieve_context(run: _Run, sources: Sequence[str]) -> None:
+    """Retrieve each source in order with the dialogue as the query."""
+    for i, source in enumerate(sources, start=1):
+        run.retrieve(f"K{i}", source, run.context_text)
+
+
+def _answer(
+    run: _Run,
+    template: str,
+    persona: str,
+    demos: str = "",
+    extras: Sequence[tuple[str, str]] = (),
+) -> None:
+    """The response call; on a multi-source kind the bound evidence leads
+    the extras as "Source Knowledge"."""
+    if run.profile.is_multi_source:
+        knowledge = " ".join(map(run.store.text_of, run.store.variables()))
+        extras = [("Source Knowledge", knowledge), *extras]
+    prompt = run.prompt(load_template(template), persona, demos, extras)
+    run.response = run.complete(prompt).strip()
 
 
 def _run_tpe_sources(run: _Run) -> None:
-    thought = _think(run)
-    planner_prompt = load_template("tpe_planner_focus").render(
-        persona=run.profile.personas["planner"],
-        toolset=run.toolset_lines(run.profile.source_toolset),
-        demos=run.demo_slot(
-            "tpe", "planner", include_thought=run.config.include_thought_in_planner
-        ),
-        extras=_planner_extras(run, thought),
-        dialogue=run.context_text,
+    thought, raw = _think_and_plan(
+        run, "tpe_planner_focus", "planner", run.profile.source_toolset
     )
-    raw = run.complete(planner_prompt)
-    if not _execute_source_plan(run, raw, TPE_SIGIL, run.enriched_context()):
-        return
-    executor_extras = [("Source Knowledge", _knowledge_text(run.store))]
-    if run.config.include_thought_in_executor and thought:
-        executor_extras.append(("Thought", thought))
-    executor_prompt = load_template("response").render(
-        persona=run.profile.personas["executor"],
-        demos="",
-        extras=render_extras(executor_extras),
-        dialogue=run.context_text,
-    )
-    run.response = run.complete(executor_prompt).strip()
+    if _run_source_plan(run, raw, TPE_SIGIL, run.enriched_context()):
+        include = run.config.include_thought_in_executor and thought
+        extras = [("Thought", thought)] if include else ()
+        _answer(run, "response", "executor", extras=extras)
 
 
 def _run_tpe_strategies(run: _Run) -> None:
-    thought = _think(run)
-    prompt = load_template(f"tpe_plannerexec_{run.config.dataset_kind.value}").render(
-        persona=run.profile.personas["planner_executor"],
-        toolset=run.toolset_lines(run.profile.strategy_toolset),
-        demos=run.demo_slot(
-            "tpe", "planner", include_thought=run.config.include_thought_in_planner
-        ),
-        extras=_planner_extras(run, thought),
-        dialogue=run.context_text,
+    _, raw = _think_and_plan(
+        run,
+        f"tpe_plannerexec_{run.config.dataset_kind.value}",
+        "planner_executor",
+        run.profile.strategy_toolset,
     )
-    raw = run.complete(prompt)
-    run.raw_plan_text = with_cue("Plan:", raw)
-    try:
-        steps = parse_strategy_plan(run.raw_plan_text)
-    except ParseError as exc:
-        run.fail(exc, fallback_response=raw.strip())
+    steps = _parse_plan(run, "Plan:", raw, parse_strategy_plan)
+    if steps is None:
         return
     run.parsed_plan = steps
     for i, step in enumerate(steps, start=1):
@@ -391,78 +429,44 @@ def _run_tpe_strategies(run: _Run) -> None:
 
 
 def _run_cot(run: _Run) -> None:
-    extras = []
     if run.profile.is_multi_source:
-        # Fixed source order, dialogue context as the query for both calls.
-        for i, source in enumerate(("persona", "document"), start=1):
-            run.retrieve(f"K{i}", source, run.context_text)
-        extras.append(("Source Knowledge", _knowledge_text(run.store)))
-    prompt = load_template("response").render(
-        persona=run.profile.personas["cot"],
-        demos=run.demo_slot("cot", "response"),
-        extras=render_extras(extras),
-        dialogue=run.context_text,
-    )
-    run.response = run.complete(prompt).strip()
+        _retrieve_context(run, ("persona", "document"))
+    _answer(run, "response", "cot", run.demo_slot("cot", "response"))
 
 
 def _run_cuecot(run: _Run) -> None:
-    status_prompt = load_template("cuecot_status").render(
-        persona=run.profile.personas["thinker"],
-        demos=run.demo_slot("cuecot", "status"),
-        extras="",
-        dialogue=run.context_text,
+    status = _think(run, "cuecot_status", "cuecot", "status")
+    _answer(
+        run,
+        "cuecot_response",
+        "cot",
+        run.demo_slot("cuecot", "status_response"),
+        [("Status", status)] if status else (),
     )
-    status = run.complete(status_prompt).strip()
-    if status:
-        run.thought = Thought(status)
-    response_prompt = load_template("cuecot_response").render(
-        persona=run.profile.personas["cot"],
-        demos=run.demo_slot("cuecot", "status_response"),
-        extras=render_extras([("Status", status)] if status else []),
-        dialogue=run.context_text,
-    )
-    run.response = run.complete(response_prompt).strip()
 
 
 def _run_rewoo(run: _Run) -> None:
-    planner_prompt = load_template("rewoo_planner_focus").render(
-        demos=run.demo_slot("rewoo", "rewoo"),
-        dialogue=run.context_text,
+    prompt = run.prompt(
+        load_template("rewoo_planner_focus"), demos=run.demo_slot("rewoo", "rewoo")
     )
-    raw = run.complete(planner_prompt)
-    if not _execute_source_plan(run, raw, REWOO_SIGIL, run.context_text):
-        return
-    solver_prompt = load_template("rewoo_solver_focus").render(
-        persona=run.profile.personas["executor"],
-        extras=render_extras([("Source Knowledge", _knowledge_text(run.store))]),
-        dialogue=run.context_text,
-    )
-    run.response = run.complete(solver_prompt).strip()
+    if _run_source_plan(run, run.complete(prompt), REWOO_SIGIL, run.context_text):
+        _answer(run, "rewoo_solver_focus", "executor")
 
 
-def _plan_modules(
-    run: _Run, toolset: ToolSet, cue: str, view: str
-) -> tuple[str, ...] | None:
-    """Chameleon's module-sequence call; None (record failed) when the
-    generation holds no module list."""
-    planner_prompt = load_template(f"chameleon_planner_{view}").render(
-        persona=run.profile.personas["chameleon"],
+def _plan_modules(run: _Run, toolset: ToolSet, view: str) -> tuple[str, ...] | None:
+    """Chameleon's module-sequence call: the planned names, or None once
+    the record has failed."""
+    prompt = run.prompt(
+        load_template(f"chameleon_planner_{view}"),
+        "chameleon",
+        run.demo_slot("chameleon", view),
         toolset=run.toolset_lines(toolset),
-        demos=run.demo_slot("chameleon", view),
-        dialogue=run.context_text,
     )
-    raw = run.complete(planner_prompt)
-    run.raw_plan_text = with_cue(cue, raw)
-    try:
-        return parse_module_list(run.raw_plan_text)
-    except ParseError as exc:
-        run.fail(exc, fallback_response=raw.strip())
-        return None
+    return _parse_plan(run, f"{view.title()}:", run.complete(prompt), parse_module_list)
 
 
 def _run_chameleon_sources(run: _Run) -> None:
-    names = _plan_modules(run, run.profile.module_toolset, "Modules:", "modules")
+    names = _plan_modules(run, run.profile.module_toolset, "modules")
     if names is None:
         return
     run.parsed_plan = names
@@ -472,21 +476,12 @@ def _run_chameleon_sources(run: _Run) -> None:
             retrieval_order.append(run.profile.resolve_source(name))
         except UnknownTool:
             continue  # Answer_Generator and unplanned module names are skipped
-    for i, source in enumerate(retrieval_order or ("persona", "document"), start=1):
-        run.retrieve(f"K{i}", source, run.context_text)
-    answer_prompt = load_template("response").render(
-        persona=run.profile.personas["executor"],
-        demos=run.demo_slot("cot", "response"),
-        extras=render_extras([("Source Knowledge", _knowledge_text(run.store))]),
-        dialogue=run.context_text,
-    )
-    run.response = run.complete(answer_prompt).strip()
+    _retrieve_context(run, retrieval_order or ("persona", "document"))
+    _answer(run, "response", "executor", run.demo_slot("cot", "response"))
 
 
 def _run_chameleon_strategies(run: _Run) -> None:
-    names = _plan_modules(
-        run, run.profile.strategy_toolset, "Strategies:", "strategies"
-    )
+    names = _plan_modules(run, run.profile.strategy_toolset, "strategies")
     if names is None:
         return
     template = load_template("chameleon_strategy")
@@ -495,24 +490,17 @@ def _run_chameleon_strategies(run: _Run) -> None:
         (n for n in names if n != "Answer_Generator"), start=1
     ):
         tool = run.profile.strategy_toolset.get(name)
-        demo_blocks = (
-            [f"Dialogue: {inp}\n{name}: {out}" for inp, out in tool.examples]
-            if tool is not None
-            else []
+        demos = render_demo_slot(
+            f"Dialogue: {inp}\n{name}: {out}"
+            for inp, out in (tool.examples if tool is not None else ())
         )
-        prompt = template.render(
-            demos=render_demo_slot(demo_blocks),
-            dialogue=run.context_text,
-            strategy=name,
-        )
-        fragment = run.complete(prompt).strip()
+        fragment = run.complete(run.prompt(template, demos=demos, strategy=name)).strip()
         if not fragment:
             continue
         steps.append(StrategyPlanStep(strategy_name=name, fragment=fragment))
         run.store.bind(f"St{i}", fragment)
     if not steps:
-        run.flag("EmptyPlan", "no strategy module produced a fragment")
-        return
+        raise EmptyPlan("no strategy module produced a fragment")
     run.parsed_plan = tuple(steps)
     run.response = combine_middle([step.fragment for step in steps])
 
@@ -526,66 +514,60 @@ def _run_react(run: _Run) -> None:
     obs_count = 0
     strategy_steps: list[StrategyPlanStep] = []
 
-    def render_prompt() -> str:
-        return template.render(demos=demos, dialogue=run.context_text, scratchpad=scratchpad)
+    def ask(stop: tuple[str, ...]) -> str:
+        prompt = run.prompt(template, demos=demos, scratchpad=scratchpad)
+        return run.complete(prompt, stop)
+
+    def finish(response: str = "") -> None:
+        run.raw_plan_text = (scratchpad + last_text).rstrip("\n")
+        if strategy_steps:
+            run.parsed_plan = tuple(strategy_steps)
+        run.response = response
 
     while calls_used < run.config.react_max_steps:
-        generation = run.complete(render_prompt(), stop=REACT_STOP)
+        generation = ask(REACT_STOP)
         calls_used += 1
         last_text = generation.strip()
         try:
-            step: ReActStep = parse_react_step(generation)
-        except ParseError as exc:
+            action = parse_react_step(generation).action
+            if isinstance(action, ToolCall):
+                # "context" (or nothing) as the argument queries with the dialogue.
+                query = action.argument.strip()
+                if query in ("context", ""):
+                    query = run.context_text
+                evidence = run.retrieve(f"Obs{obs_count + 1}", action.name, query)
+        except (ParseError, UnknownTool) as exc:
             run.raw_plan_text = scratchpad + last_text
             run.fail(exc, fallback_response=last_text)
             return
-        if isinstance(step.action, Finish):
-            scratchpad += last_text + "\n"
-            run.raw_plan_text = scratchpad.rstrip("\n")
-            if strategy_steps:
-                run.parsed_plan = tuple(strategy_steps)
-            run.response = step.action.response.strip()
+        if isinstance(action, Finish):
+            finish(action.response.strip())
             return
-        if isinstance(step.action, ToolCall):
-            # "context" (or nothing) as the argument queries with the dialogue.
-            query = step.action.argument.strip()
-            if query in ("context", ""):
-                query = run.context_text
-            try:
-                evidence = run.retrieve(f"Obs{obs_count + 1}", step.action.name, query)
-            except UnknownTool as exc:
-                run.raw_plan_text = scratchpad + last_text
-                run.fail(exc, fallback_response=last_text)
-                return
+        if isinstance(action, ToolCall):
             obs_count += 1
             scratchpad += f"{last_text}\nObservation: {evidence.text()}\n"
             continue
         # Strategy call: either compose the final response or ask the model
         # for the strategy's fragment as the next observation.
-        if step.action.name == "Response":
+        if action.name == "Response":
+            finish()
             scratchpad += f"{last_text}\nResponse:"
-            run.raw_plan_text = scratchpad[: -len("\nResponse:")]
-            if strategy_steps:
-                run.parsed_plan = tuple(strategy_steps)
-            run.response = run.complete(render_prompt(), stop=FEWSHOT_STOP).strip()
+            run.response = ask(FEWSHOT_STOP).strip()
             return
         if calls_used >= run.config.react_max_steps:
             break
         scratchpad += f"{last_text}\nObservation:"
-        fragment = run.complete(render_prompt(), stop=FRAGMENT_STOP).strip()
+        fragment = ask(FRAGMENT_STOP).strip()
         calls_used += 1
         scratchpad += f" {fragment}\n"
         obs_count += 1
         run.store.bind(f"St{obs_count}", fragment)
         if fragment:
             strategy_steps.append(
-                StrategyPlanStep(strategy_name=step.action.name, fragment=fragment)
+                StrategyPlanStep(strategy_name=action.name, fragment=fragment)
             )
 
-    run.raw_plan_text = (scratchpad + last_text).rstrip("\n")
-    if strategy_steps:
-        run.parsed_plan = tuple(strategy_steps)
-    run.response = last_text
+    finish(last_text)
     run.flag(
         "FallbackExhausted",
         f"no Finish after {run.config.react_max_steps} calls; "

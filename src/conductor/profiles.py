@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from conductor.core import ConceptualTool, SchemaKind, ToolKind, ToolSet
+from conductor.core import ConceptualTool, SchemaKind, ToolSet
 from conductor.errors import UnknownTool
 
 # ---------------------------------------------------------------------------
 # FoCus: sources and modules
 
 FOCUS_SOURCES = ToolSet(
-    kind=ToolKind.SOURCE,
     tools=(
         ConceptualTool(
             name="PERSONA",
-            kind=ToolKind.SOURCE,
             description=(
                 "This knowledge base stores personal preferences or relevant "
                 "personal details about the user. It takes in the query and "
@@ -41,7 +39,6 @@ FOCUS_SOURCES = ToolSet(
         ),
         ConceptualTool(
             name="DOCUMENT",
-            kind=ToolKind.SOURCE,
             description=(
                 "This knowledge base stores background knowledge from Wikipedia "
                 "as the hint for the given dialogue. Normally, we consider using "
@@ -60,11 +57,9 @@ FOCUS_SOURCES = ToolSet(
 )
 
 FOCUS_MODULES = ToolSet(
-    kind=ToolKind.SOURCE,
     tools=(
         ConceptualTool(
             name="Persona_Retrieval",
-            kind=ToolKind.SOURCE,
             description=(
                 "This module retrieves personal preferences or relevant personal "
                 "details about the user. It takes in the query and returns a "
@@ -74,7 +69,6 @@ FOCUS_MODULES = ToolSet(
         ),
         ConceptualTool(
             name="Knowledge_Retrieval",
-            kind=ToolKind.SOURCE,
             description=(
                 'This module retrieves background knowledge from Wikipedia as the '
                 'hint for the given dialogue. Normally, we consider using '
@@ -84,7 +78,6 @@ FOCUS_MODULES = ToolSet(
         ),
         ConceptualTool(
             name="Answer_Generator",
-            kind=ToolKind.SOURCE,
             description=(
                 "This module extracts the final answer in a short form from the "
                 "solution or execution result. This module normally is the last "
@@ -127,11 +120,9 @@ _CIMA_D_BED = (
 )
 
 CIMA_STRATEGIES = ToolSet(
-    kind=ToolKind.STRATEGY,
     tools=(
         ConceptualTool(
             name="Hint",
-            kind=ToolKind.STRATEGY,
             description="The teacher provides knowledge to the student via a hint.",
             examples=(
                 (_CIMA_D1, "box is scatola."),
@@ -141,7 +132,6 @@ CIMA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Question",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The teacher asks a question of the student, which can attempt "
                 "to determine a student’s understanding or continue the "
@@ -159,7 +149,6 @@ CIMA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Correction",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The teacher corrects a mistake or addresses a misconception a "
                 "student has."
@@ -182,7 +171,6 @@ CIMA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Confirmation",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The teacher confirms a student’s answer or understanding "
                 "is correct."
@@ -209,7 +197,6 @@ CIMA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Others",
-            kind=ToolKind.STRATEGY,
             description=(
                 "Refers to any strategy or approach that does not fall within "
                 "the predefined categories."
@@ -251,11 +238,9 @@ CIMA_STRATEGIES = ToolSet(
 # PsyQA: seven counseling strategies (helping-skills taxonomy)
 
 PSYQA_STRATEGIES = ToolSet(
-    kind=ToolKind.STRATEGY,
     tools=(
         ConceptualTool(
             name="Information",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor provides factual knowledge or psychoeducation "
                 "relevant to the help-seeker's situation."
@@ -269,7 +254,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Direct Guidance",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor gives concrete suggestions or actionable advice "
                 "for the help-seeker to follow."
@@ -283,7 +267,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Approval and Reassurance",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor affirms the help-seeker's feelings and provides "
                 "emotional support and encouragement."
@@ -297,7 +280,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Restatement",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor rephrases the help-seeker's statements to show "
                 "understanding and clarify the problem."
@@ -311,7 +293,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Interpretation",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor goes beyond what the help-seeker has said to "
                 "offer a new perspective on their experience."
@@ -325,7 +306,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Self-disclosure",
-            kind=ToolKind.STRATEGY,
             description=(
                 "The counselor shares a personal experience or feeling to build "
                 "rapport with the help-seeker."
@@ -339,7 +319,6 @@ PSYQA_STRATEGIES = ToolSet(
         ),
         ConceptualTool(
             name="Others",
-            kind=ToolKind.STRATEGY,
             description=(
                 "Refers to any strategy or approach that does not fall within "
                 "the predefined categories."
@@ -460,7 +439,6 @@ PSYQA_PERSONAS = {
 
 @dataclass(frozen=True)
 class DatasetProfile:
-    kind: SchemaKind
     personas: dict[str, str]
     source_toolset: ToolSet | None = None
     strategy_toolset: ToolSet | None = None
@@ -484,7 +462,6 @@ class DatasetProfile:
 
 PROFILES: dict[SchemaKind, DatasetProfile] = {
     SchemaKind.FOCUS: DatasetProfile(
-        kind=SchemaKind.FOCUS,
         personas=FOCUS_PERSONAS,
         source_toolset=FOCUS_SOURCES,
         module_toolset=FOCUS_MODULES,
@@ -496,12 +473,10 @@ PROFILES: dict[SchemaKind, DatasetProfile] = {
         },
     ),
     SchemaKind.CIMA: DatasetProfile(
-        kind=SchemaKind.CIMA,
         personas=CIMA_PERSONAS,
         strategy_toolset=CIMA_STRATEGIES,
     ),
     SchemaKind.PSYQA: DatasetProfile(
-        kind=SchemaKind.PSYQA,
         personas=PSYQA_PERSONAS,
         strategy_toolset=PSYQA_STRATEGIES,
     ),

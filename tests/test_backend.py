@@ -23,7 +23,7 @@ from conductor.backend import (
     request_hash,
 )
 from conductor.core import CallUsage, SchemaKind
-from conductor.data import load_dataset
+from conductor.data import export_records, load_dataset, load_records
 from conductor.errors import (
     AuthMissing,
     BackendUnavailable,
@@ -228,6 +228,23 @@ class TestLiveBackend:
         assert [r.sample_id for r in records] == [s.id for s in samples]
         assert [r.error.kind for r in records] == ["BackendUnavailable"] * len(samples)
         assert len(calls) == 2 * len(samples)
+
+    def test_unpaired_surrogate_reply_still_exports(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        body = '{"choices": [{"message": {"content": "ok \\ud83d \\ud83d\\ude00"}}]}'
+
+        class _RawResponse(_NotJsonResponse):
+            text = body
+
+        samples = load_dataset(str(FIXTURES / "cima_samples.jsonl"), SchemaKind.CIMA)
+        config = MethodConfig(method=Method.COT, dataset_kind=SchemaKind.CIMA)
+        backend = self._backend(lambda *a, **k: _RawResponse())
+        records = run_batch(samples, config, backend, parallelism=2)
+        assert [r.sample_id for r in records] == [s.id for s in samples]
+        assert {r.response for r in records} == {"ok � \U0001f600"}
+        path = tmp_path / "records.jsonl"
+        export_records(records, str(path))
+        assert load_records(str(path)) == records
 
     def test_usage_estimated_when_absent(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")

@@ -103,6 +103,16 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unpriced_model_exits_two_before_any_call(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["run", "--method", "cot", "--kind", "cima", "--dataset", CIMA,
+             "--backend", "replay:fixture", "--model", "no-such-model", "--out", str(out)]
+        )
+        assert code == 2
+        assert "no price for model 'no-such-model'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_override_within_bank_runs(self, tmp_path):
         # fewer demos change the prompts, so the canned completions miss;
         # the run must still complete with recorded failures, not crash
@@ -423,6 +433,15 @@ class TestChat:
              "--backend", f"replay:{REPLAY}"]
         )
         assert code == 0
+        assert capsys.readouterr().out == ""
+
+    def test_unpriced_model_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
+        code = main(
+            ["chat", "--method", "cot", "--kind", "cima",
+             "--backend", f"replay:{REPLAY}", "--model", "no-such-model"]
+        )
+        assert code == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("content", ["", "{not json\n", '{"id": "f2"}\n'])

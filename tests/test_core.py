@@ -12,7 +12,6 @@ from conductor.core import (
     PromptTemplate,
     SchemaKind,
     Thought,
-    ToolKind,
     Utterance,
     load_template,
     render_demo_slot,
@@ -56,7 +55,7 @@ class TestTypes:
 
     def test_demonstration_needs_some_field(self):
         with pytest.raises(ValueError):
-            Demonstration(dialogue_text="USER: hi", method_tag="tpe")
+            Demonstration(dialogue_text="USER: hi")
 
     def test_evidence_scores_non_increasing(self):
         with pytest.raises(ValueError):
@@ -151,9 +150,9 @@ class TestRenderToolset:
         assert text.splitlines()[0] == "- Hint"
 
     def test_empty_registry_renders_empty(self):
-        from conductor.core import ToolSet, ToolKind
+        from conductor.core import ToolSet
 
-        assert render_toolset(ToolSet(kind=ToolKind.SOURCE, tools=())) == ""
+        assert render_toolset(ToolSet(tools=())) == ""
 
 
 class TestPromptTemplate:
@@ -178,7 +177,6 @@ class TestDemoRendering:
     def test_planner_view_includes_thought(self):
         demo = Demonstration(
             dialogue_text="USER: Hi",
-            method_tag="tpe",
             thought_text="the thought",
             plan_text="Plan: do it\n#So1 = PERSONA[context]",
         )
@@ -192,7 +190,7 @@ class TestDemoRendering:
 
     def test_rewoo_view(self):
         demo = Demonstration(
-            dialogue_text="USER: Hi", method_tag="rewoo", plan_text="Plan: x\n#E1 = A[q]"
+            dialogue_text="USER: Hi", plan_text="Plan: x\n#E1 = A[q]"
         )
         assert render_demonstration(demo, "rewoo") == (
             "Dialogue: USER: Hi\n\n--PLANNER--\nPlan: x\n#E1 = A[q]"
@@ -201,3 +199,8 @@ class TestDemoRendering:
     def test_demo_slot_empty_is_empty(self):
         assert render_demo_slot([]) == ""
         assert render_demo_slot(["a", "b"]) == "a\n\nb\n\n"
+
+    def test_unknown_view_rejected(self):
+        demo = Demonstration(dialogue_text="USER: Hi", response_text="Hello")
+        with pytest.raises(ValueError, match="unknown demo view 'summary'"):
+            render_demonstration(demo, "summary")

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from conftest import FIXTURES
 from conductor.core import (
     CallUsage,
     ErrorInfo,
@@ -107,6 +108,24 @@ class TestSampleValidation:
         obj["gold_strategies"] = [None]
         with pytest.raises(SchemaViolation, match="unknown gold strategy"):
             sample_from_obj(obj, SchemaKind.CIMA)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("gold_document_index", True, "gold_document_index out of range: True"),
+            ("gold_persona_indices", [False, True], "persona_indices out of range: False"),
+            ("gold_persona_indices", 3, "field 'gold_persona_indices' must be list"),
+            ("gold_persona_indices", "01", "field 'gold_persona_indices' must be list"),
+            ("gold_document_index", 2.0, "gold_document_index out of range: 2.0"),
+        ],
+    )
+    def test_gold_indices_are_json_integers(self, key, value, message):
+        lines = (FIXTURES / "focus_samples.jsonl").read_text(encoding="utf-8")
+        obj = json.loads(lines.splitlines()[0])
+        assert sample_from_obj(obj, SchemaKind.FOCUS).gold_document_index is not None
+        obj[key] = value
+        with pytest.raises(SchemaViolation, match=message):
+            sample_from_obj(obj, SchemaKind.FOCUS)
 
 
 class TestLoadDataset:

@@ -28,7 +28,7 @@ from conductor.data import (
     record_from_obj,
     record_to_obj,
 )
-from conductor.pipelines import FLOWS, Method, MethodConfig, run_method
+from conductor.pipelines import FLOWS, MethodConfig, run_method
 from conductor.profiles import profile_for
 
 # Every (method, kind) pair a MethodConfig accepts; together they reach each
@@ -100,8 +100,6 @@ ACTIONS = st.sampled_from(
         "Finish[It is in Auckland.]",
     ]
 )
-
-
 MODULES = st.sampled_from(
     ["Persona_Retrieval", "Knowledge_Retrieval", "Answer_Generator", "Hint", "Information"]
 )
@@ -192,7 +190,3 @@ def test_any_model_text_gives_one_well_formed_record(method, kind, data, max_ste
         export_records(loaded, str(second))
         assert second.read_bytes() == first.read_bytes()
     assert loaded == [record]
-
-
-def test_method_enum_is_fully_covered():
-    assert {method for method, _ in PAIRS} == set(Method)

@@ -9,7 +9,7 @@ from conductor import retrieval
 from conductor.backend import Backend, ReplayBackend
 from conductor.core import Dialogue, ErrorInfo, SchemaKind, Utterance, render_toolset
 from conductor.data import Sample, export_records, load_dataset, load_records
-from conductor.errors import ConfigError, EmptyPlan, UnknownTool
+from conductor.errors import ConfigError, EmptyPlan, UnknownTool, UnpricedModel
 from conductor.pipelines import (
     Method,
     MethodConfig,
@@ -615,3 +615,13 @@ class TestBatch:
         assert sorted(doc_id for doc_id, _, _ in documents.passages) == [
             f"document-{i:02d}" for i in range(10)
         ]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_unpriced_model_fails_before_any_call(self, parallelism):
+        backend = QueueBackend("a reply that must never be asked for")
+        config = MethodConfig(
+            method=Method.COT, dataset_kind=SchemaKind.CIMA, model_id="no-such-model"
+        )
+        with pytest.raises(UnpricedModel, match="no-such-model"):
+            run_batch(_cima_samples(), config, backend, parallelism=parallelism)
+        assert backend.requests == []
