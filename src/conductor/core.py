@@ -278,10 +278,7 @@ def render_extras(extras: Iterable[tuple[str, str]]) -> str:
 def render_demonstration(
     demo: Demonstration, view: str, include_thought: bool = True
 ) -> str:
-    """Render one demonstration block for the given pipeline view.
-
-    Structured fields make ablations (drop thought, drop plan) a rendering
-    choice instead of string surgery."""
+    """Render one demonstration block for the given pipeline view."""
     lines = [f"Dialogue: {demo.dialogue_text}"]
     if view == "thinker":
         lines.append(f"Thought: {demo.thought_text}")

@@ -21,11 +21,13 @@ flow asks for it, goes through `_Run.retrieve`. A pair missing from `FLOWS`
 is a ConfigError when the MethodConfig is built, and a model missing from
 the price table is an UnpricedModel before the first backend call.
 
-Failures never abort a batch, and every plan fails one way: when a plan
-(source plan, strategy plan, module list or reasoning/acting step) does not
-parse or names an unknown tool, the record keeps the error, drops the
-evidence and takes the raw generation as its response, so corpus metrics
-stay computable. Any other error fails the record with an empty response.
+Failures never abort a batch, and every plan fails one way: a source plan,
+strategy plan or module list that does not parse or names an unknown tool
+fails the record with its evidence dropped and the raw generation as the
+response, so corpus metrics stay computable (`_parse_plan`). A react step
+that does so fails the same way but keeps the observations made before it.
+Other errors, such as a backend failure, are recorded with no fallback
+response.
 """
 
 from __future__ import annotations
