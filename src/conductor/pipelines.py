@@ -510,10 +510,8 @@ def _run_chameleon_strategies(run: _Run) -> None:
 def _run_react(run: _Run) -> None:
     template = load_template(f"react_{run.config.dataset_kind.value}")
     demos = run.demo_slot("react", "react")
-    scratchpad = ""
-    calls_used = 0
-    last_text = ""
-    obs_count = 0
+    budget = run.config.react_max_steps
+    scratchpad = ""  # the transcript: every generation is added as it returns
     strategy_steps: list[StrategyPlanStep] = []
 
     def ask(stop: tuple[str, ...]) -> str:
@@ -521,15 +519,15 @@ def _run_react(run: _Run) -> None:
         return run.complete(prompt, stop)
 
     def finish(response: str = "") -> None:
-        run.raw_plan_text = (scratchpad + last_text).rstrip("\n")
+        run.raw_plan_text = scratchpad.rstrip("\n")
         if strategy_steps:
             run.parsed_plan = tuple(strategy_steps)
         run.response = response
 
-    while calls_used < run.config.react_max_steps:
+    while len(run.generations) < budget:
         generation = ask(REACT_STOP)
-        calls_used += 1
-        last_text = generation.strip()
+        step = generation.strip()
+        scratchpad += step
         try:
             action = parse_react_step(generation).action
             if isinstance(action, ToolCall):
@@ -537,43 +535,39 @@ def _run_react(run: _Run) -> None:
                 query = action.argument.strip()
                 if query in ("context", ""):
                     query = run.context_text
-                evidence = run.retrieve(f"Obs{obs_count + 1}", action.name, query)
+                evidence = run.retrieve(f"Obs{len(run.store) + 1}", action.name, query)
         except (ParseError, UnknownTool) as exc:
-            run.raw_plan_text = scratchpad + last_text
-            run.fail(exc, fallback_response=last_text)
+            run.raw_plan_text = scratchpad
+            run.fail(exc, fallback_response=step)
             return
         if isinstance(action, Finish):
             finish(action.response.strip())
             return
         if isinstance(action, ToolCall):
-            obs_count += 1
-            scratchpad += f"{last_text}\nObservation: {evidence.text()}\n"
+            scratchpad += f"\nObservation: {evidence.text()}\n"
             continue
         # Strategy call: either compose the final response or ask the model
         # for the strategy's fragment as the next observation.
         if action.name == "Response":
             finish()
-            scratchpad += f"{last_text}\nResponse:"
+            scratchpad += "\nResponse:"
             run.response = ask(FEWSHOT_STOP).strip()
             return
-        if calls_used >= run.config.react_max_steps:
+        if len(run.generations) >= budget:
             break
-        scratchpad += f"{last_text}\nObservation:"
+        scratchpad += "\nObservation:"
         fragment = ask(FRAGMENT_STOP).strip()
-        calls_used += 1
         scratchpad += f" {fragment}\n"
-        obs_count += 1
-        run.store.bind(f"St{obs_count}", fragment)
+        run.store.bind(f"St{len(run.store) + 1}", fragment)
         if fragment:
             strategy_steps.append(
                 StrategyPlanStep(strategy_name=action.name, fragment=fragment)
             )
 
-    finish(last_text)
+    finish(step)
     run.flag(
         "FallbackExhausted",
-        f"no Finish after {run.config.react_max_steps} calls; "
-        "last generation used as the response",
+        f"no Finish after {budget} calls; last generation used as the response",
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from conductor.core import EvidenceStore
 from conductor.errors import DanglingReference, ParseError, UnboundVariable
@@ -118,6 +118,44 @@ class ReActStep:
 
 
 # ---------------------------------------------------------------------------
+# Paired lines
+
+
+_PLAN_LINE = re.compile(r"^\s*Plan:\s*(.*?)\s*$")
+_DO_LINE = re.compile(r"^\s*Do:\s*(.*?)\s*$")
+
+
+def _paired_lines(
+    text: str, follower: re.Pattern[str], noun: str
+) -> Iterator[tuple[int, str | None, re.Match[str] | None]]:
+    """The "Plan:" lines of `text` and the `follower` lines they pair with.
+
+    Yields ``(line_no, plan, None)`` per Plan line, `plan` being its trimmed
+    text, and ``(line_no, plan, match)`` per `follower` line, `plan` being
+    the open Plan line's text or None. Blank lines and prose are skipped.
+    A Plan line followed by another Plan line, or left open at the end,
+    raises ParseError "Plan line without a following <noun>" at the later
+    line or at the open one respectively.
+    """
+    pending: str | None = None
+    pending_line = 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        plan_match = _PLAN_LINE.match(line)
+        if plan_match:
+            if pending is not None:
+                raise ParseError(line_no, f"Plan line without a following {noun}")
+            pending, pending_line = plan_match.group(1), line_no
+            yield line_no, pending, None
+            continue
+        match = follower.match(line)
+        if match:
+            yield line_no, pending, match
+            pending = None
+    if pending is not None:
+        raise ParseError(pending_line, f"Plan line without a following {noun}")
+
+
+# ---------------------------------------------------------------------------
 # Source plans
 
 
@@ -155,54 +193,30 @@ def parse_source_plan(text: str, sigil: str = "#So") -> SourcePlanProgram:
     assign_re = re.compile(
         r"^\s*" + re.escape(sigil) + r"(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$"
     )
-    plan_re = re.compile(r"^\s*Plan:\s*(.*)$")
-
     steps: list[SourcePlanStep] = []
-    defined: list[str] = []
     last_index = 0
-    pending_desc: str | None = None
-    pending_line = 0
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+    for line_no, description, match in _paired_lines(text, assign_re, "assignment"):
+        if match is None:
             continue
-        plan_match = plan_re.match(line)
-        assign_match = assign_re.match(line)
-        if plan_match:
-            if pending_desc is not None:
-                raise ParseError(line_no, "Plan line without a following assignment")
-            pending_desc = plan_match.group(1).strip()
-            pending_line = line_no
-            continue
-        if assign_match:
-            index = int(assign_match.group(1))
-            if index <= last_index:
-                raise ParseError(
-                    line_no,
-                    f"variable index {index} does not increase (last was {last_index})",
-                )
-            var_name = sigil[1:] + assign_match.group(1)
-            query = _parse_query(assign_match.group(3), sigil)
-            for ref in query.var_names():
-                if ref not in defined:
-                    raise DanglingReference(ref)
-            steps.append(
-                SourcePlanStep(
-                    description=pending_desc or "",
-                    source_name=assign_match.group(2),
-                    output_var=var_name,
-                    query=query,
-                )
+        index = int(match.group(1))
+        if index <= last_index:
+            raise ParseError(
+                line_no,
+                f"variable index {index} does not increase (last was {last_index})",
             )
-            defined.append(var_name)
-            last_index = index
-            pending_desc = None
-            continue
-        # Prose: ignored whether it precedes the plan (thought) or trails it.
-        continue
-
-    if pending_desc is not None:
-        raise ParseError(pending_line, "Plan line without a following assignment")
+        query = _parse_query(match.group(3), sigil)
+        for ref in query.var_names():
+            if ref not in {step.output_var for step in steps}:
+                raise DanglingReference(ref)
+        steps.append(
+            SourcePlanStep(
+                description=description or "",
+                source_name=match.group(2),
+                output_var=sigil[1:] + match.group(1),
+                query=query,
+            )
+        )
+        last_index = index
     if not steps:
         raise ParseError(1, "empty plan")
     return SourcePlanProgram(tuple(steps))
@@ -231,10 +245,6 @@ def render_source_plan(program: SourcePlanProgram, sigil: str = "#So") -> str:
 # Strategy plans
 
 
-_PLAN_LINE = re.compile(r"^\s*Plan:\s*(.*?)\s*$")
-_DO_LINE = re.compile(r"^\s*Do:\s*(.*?)\s*$")
-
-
 def parse_strategy_plan(text: str) -> tuple[StrategyPlanStep, ...]:
     """Pair each "Plan: <name>" line with the following "Do: <fragment>" line.
 
@@ -242,31 +252,16 @@ def parse_strategy_plan(text: str) -> tuple[StrategyPlanStep, ...]:
     times in one plan and each occurrence keeps its own fragment.
     """
     steps: list[StrategyPlanStep] = []
-    pending: str | None = None
-    pending_line = 0
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        plan_match = _PLAN_LINE.match(line)
-        do_match = _DO_LINE.match(line)
-        if plan_match:
-            if pending is not None:
-                raise ParseError(line_no, "Plan line without a following Do line")
-            pending = plan_match.group(1)
-            pending_line = line_no
-            if not pending:
+    for line_no, name, match in _paired_lines(text, _DO_LINE, "Do line"):
+        if match is None:
+            if not name:
                 raise ParseError(line_no, "Plan line names no strategy")
-        elif do_match:
-            if pending is None:
-                raise ParseError(line_no, "Do line without a preceding Plan line")
-            fragment = do_match.group(1)
-            if not fragment:
-                raise ParseError(line_no, "Do line carries no fragment")
-            steps.append(StrategyPlanStep(strategy_name=pending, fragment=fragment))
-            pending = None
-        # other lines: leading thought or trailing prose, ignored
-    if pending is not None:
-        raise ParseError(pending_line, "Plan line without a following Do line")
+        elif name is None:
+            raise ParseError(line_no, "Do line without a preceding Plan line")
+        elif not match.group(1):
+            raise ParseError(line_no, "Do line carries no fragment")
+        else:
+            steps.append(StrategyPlanStep(strategy_name=name, fragment=match.group(1)))
     if not steps:
         raise ParseError(1, "no strategy steps found")
     return tuple(steps)

@@ -3,16 +3,27 @@
 These are written in the most naive transparent style on purpose: list
 slicing and .count() instead of Counters, memoized recursion instead of a
 DP table, per-document rescans for document frequencies. They must not
-share code with the implementations they check. The per-gram kernels at the
-end are the exception: copies of an earlier implementation, kept so that a
-faster rewrite can be held to bit-identical floats.
+share code with the implementations they check. The per-gram kernels and
+the plan readers at the end are the exception: copies of an earlier
+implementation, kept so that a rewrite can be held to identical results
+(bit-identical floats; the same plans, or the same errors at the same
+lines).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from functools import lru_cache
+
+from conductor.errors import DanglingReference, ParseError
+from conductor.plangrammar import (
+    SourcePlanProgram,
+    SourcePlanStep,
+    StrategyPlanStep,
+    _parse_query,
+)
 
 
 def ngram_list(tokens, n):
@@ -264,3 +275,102 @@ def per_gram_distinct_n(candidates, n):
     if total == 0:
         return 0.0
     return len(seen) / total
+
+
+# ---------------------------------------------------------------------------
+# Plan readers: the source- and strategy-plan parsers as they were when each
+# hand-wrote its own Plan-line pairing. A shared pairing reader must give the
+# same plan, or the same exception type and message, on any text.
+
+
+def pairwise_source_plan(text, sigil="#So"):
+    if not sigil.startswith("#") or len(sigil) < 2:
+        raise ValueError("sigil must be a '#'-prefixed name like '#So' or '#E'")
+    assign_re = re.compile(
+        r"^\s*" + re.escape(sigil) + r"(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$"
+    )
+    plan_re = re.compile(r"^\s*Plan:\s*(.*)$")
+
+    steps = []
+    defined = []
+    last_index = 0
+    pending_desc = None
+    pending_line = 0
+
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        plan_match = plan_re.match(line)
+        assign_match = assign_re.match(line)
+        if plan_match:
+            if pending_desc is not None:
+                raise ParseError(line_no, "Plan line without a following assignment")
+            pending_desc = plan_match.group(1).strip()
+            pending_line = line_no
+            continue
+        if assign_match:
+            index = int(assign_match.group(1))
+            if index <= last_index:
+                raise ParseError(
+                    line_no,
+                    f"variable index {index} does not increase (last was {last_index})",
+                )
+            var_name = sigil[1:] + assign_match.group(1)
+            query = _parse_query(assign_match.group(3), sigil)
+            for ref in query.var_names():
+                if ref not in defined:
+                    raise DanglingReference(ref)
+            steps.append(
+                SourcePlanStep(
+                    description=pending_desc or "",
+                    source_name=assign_match.group(2),
+                    output_var=var_name,
+                    query=query,
+                )
+            )
+            defined.append(var_name)
+            last_index = index
+            pending_desc = None
+            continue
+        continue
+
+    if pending_desc is not None:
+        raise ParseError(pending_line, "Plan line without a following assignment")
+    if not steps:
+        raise ParseError(1, "empty plan")
+    return SourcePlanProgram(tuple(steps))
+
+
+_ORACLE_PLAN_LINE = re.compile(r"^\s*Plan:\s*(.*?)\s*$")
+_ORACLE_DO_LINE = re.compile(r"^\s*Do:\s*(.*?)\s*$")
+
+
+def pairwise_strategy_plan(text):
+    steps = []
+    pending = None
+    pending_line = 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        plan_match = _ORACLE_PLAN_LINE.match(line)
+        do_match = _ORACLE_DO_LINE.match(line)
+        if plan_match:
+            if pending is not None:
+                raise ParseError(line_no, "Plan line without a following Do line")
+            pending = plan_match.group(1)
+            pending_line = line_no
+            if not pending:
+                raise ParseError(line_no, "Plan line names no strategy")
+        elif do_match:
+            if pending is None:
+                raise ParseError(line_no, "Do line without a preceding Plan line")
+            fragment = do_match.group(1)
+            if not fragment:
+                raise ParseError(line_no, "Do line carries no fragment")
+            steps.append(StrategyPlanStep(strategy_name=pending, fragment=fragment))
+            pending = None
+    if pending is not None:
+        raise ParseError(pending_line, "Plan line without a following Do line")
+    if not steps:
+        raise ParseError(1, "no strategy steps found")
+    return tuple(steps)

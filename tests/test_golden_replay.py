@@ -74,11 +74,28 @@ SCRIPTED = [
         "7bef69eef365fa10d7e8b13b7f2cc513daf42ba40c5fc689201dc4e4ddd09923",
     ),
     (
+        "tpe_cima_unparseable_strategy_plan",
+        Method.TPE, "cima", 0, 8,
+        ("the thought", "Hint\nDo: box is scatola.\nPlan: Question"),
+        "ParseError", (),
+        "5dd9bb0c074a8865e363842ce58644b0978cb441f494bf582cd1b583757422bf",
+    ),
+    (
+        "tpe_focus_consecutive_plan_lines",
+        Method.TPE, "focus", 0, 8,
+        (
+            "the thought",
+            "Search memories.\nPlan: Search documents.\n#So1 = PERSONA[context]",
+        ),
+        "ParseError", (),
+        "2f32e81793a17c6f0f31a56b7d15f97ba24a02c4287492b482b46516802b4111",
+    ),
+    (
         "react_focus_exhaustion",
         Method.REACT, "focus", 0, 3,
         ("Thought: still looking\nAction: Knowledge[The Arctic Cordillera]",) * 3,
         "FallbackExhausted", ("Obs1", "Obs2", "Obs3"),
-        "3da20ca93577c040e9b0b9c9c6a82e898fbc956973103cb3d919cfff021007ba",
+        "16e4fe1a8b1583c48503a84d1b47c1944cb901bd8b4eb07c8e4e2da9aa30bddf",
     ),
     (
         "react_cima_bracketed_tool_call",

@@ -341,6 +341,30 @@ class TestReactFlow:
         assert record.response == loop_step
         assert len(backend.requests) == 3
 
+    def test_exhaustion_after_observation_keeps_each_step_once(self):
+        step = "Thought: look.\nAction: PERSONA[context]"
+        config = MethodConfig(
+            method=Method.REACT, dataset_kind=SchemaKind.FOCUS, react_max_steps=1
+        )
+        record = run_method(_focus_samples()[0], config, QueueBackend(step))
+        assert record.error.kind == "FallbackExhausted"
+        assert record.response == step
+        observation = record.evidence.text_of("Obs1")
+        assert record.raw_plan_text.count(step) == 1
+        assert record.raw_plan_text == f"{step}\nObservation: {observation}"
+
+    def test_exhaustion_after_fragment_keeps_each_step_once(self):
+        step = "Thought: give a hint.\nAction: Hint"
+        config = MethodConfig(
+            method=Method.REACT, dataset_kind=SchemaKind.CIMA, react_max_steps=2
+        )
+        backend = QueueBackend(step, " box is scatola.")
+        record = run_method(_cima_samples()[0], config, backend)
+        assert record.error.kind == "FallbackExhausted"
+        assert record.response == step
+        assert record.raw_plan_text == f"{step}\nObservation: box is scatola."
+        assert [s.strategy_name for s in record.parsed_plan] == ["Hint"]
+
     def test_call_budget_never_exceeded(self):
         # strategy dataset: every action costs a fragment call too
         step = "Thought: hint again\nAction: Hint"

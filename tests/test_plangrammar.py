@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import pairwise_source_plan, pairwise_strategy_plan
 from conductor.core import EvidenceStore, Evidence
 from conductor.errors import (
     DanglingReference,
@@ -99,6 +100,178 @@ class TestParseSourcePlan:
     def test_mixed_literal_and_var(self):
         program = parse_source_plan("Plan: a\n#So1 = PERSONA[context]\nPlan: b\n#So2 = DOCUMENT[overview of #So1]", "#So")
         assert program.steps[1].query.parts == (Literal("overview of"), VarRef("So1"))
+
+
+# Every ParseError branch of the two paired-line readers, pinned as
+# (text, position, reason).
+SOURCE_PLAN_ERRORS = [
+    pytest.param(
+        "Plan: a\nPlan: b\n#So1 = PERSONA[context]",
+        2, "Plan line without a following assignment",
+        id="consecutive-plan-lines",
+    ),
+    pytest.param(
+        "Thought: first\n\nPlan: a\n\nprose\nPlan: b\n#So1 = PERSONA[context]",
+        6, "Plan line without a following assignment",
+        id="consecutive-plan-lines-across-prose",
+    ),
+    pytest.param(
+        "#So1 = PERSONA[context]\n\nPlan: dangling\n\nThat is all.",
+        3, "Plan line without a following assignment",
+        id="trailing-plan-line",
+    ),
+    pytest.param(
+        "Plan: a\n#So2 = PERSONA[context]\nPlan: b\n#So1 = DOCUMENT[context]",
+        4, "variable index 1 does not increase (last was 2)",
+        id="decreasing-index",
+    ),
+    pytest.param(
+        "#So1 = PERSONA[context]\n\n#So1 = DOCUMENT[#So1]",
+        3, "variable index 1 does not increase (last was 1)",
+        id="repeated-index",
+    ),
+    pytest.param(
+        "Plan: a\n#So0 = PERSONA[context]",
+        2, "variable index 0 does not increase (last was 0)",
+        id="zero-index",
+    ),
+    pytest.param("", 1, "empty plan", id="empty-text"),
+    pytest.param("Thought: no plan\n\nmore prose", 1, "empty plan", id="prose-only"),
+    pytest.param("#E1 = PERSONA[context]", 1, "empty plan", id="other-sigil-is-prose"),
+]
+
+STRATEGY_PLAN_ERRORS = [
+    pytest.param(
+        "Plan: Hint\nPlan: Question\nDo: x",
+        2, "Plan line without a following Do line",
+        id="consecutive-plan-lines",
+    ),
+    pytest.param(
+        "Plan: Hint\nDo: x\n\nPlan: Question\ntrailing prose",
+        4, "Plan line without a following Do line",
+        id="trailing-plan-line",
+    ),
+    pytest.param(
+        "Plan: Hint\nPlan:  ",
+        2, "Plan line without a following Do line",
+        id="pending-checked-before-empty-name",
+    ),
+    pytest.param("Plan:\nDo: x", 1, "Plan line names no strategy", id="empty-name"),
+    pytest.param(
+        "prose\nPlan:   \nPlan: Hint",
+        2, "Plan line names no strategy",
+        id="empty-name-before-next-plan-line",
+    ),
+    pytest.param("Do: x", 1, "Do line without a preceding Plan line", id="orphan-do"),
+    pytest.param(
+        "Plan: Hint\nDo: x\n\nDo: y",
+        4, "Do line without a preceding Plan line",
+        id="second-do-line",
+    ),
+    pytest.param("Plan: Hint\nDo:   ", 2, "Do line carries no fragment", id="empty-fragment"),
+    pytest.param(
+        "Plan: Hint\n\nprose\nDo:",
+        4, "Do line carries no fragment",
+        id="empty-fragment-across-prose",
+    ),
+    pytest.param("", 1, "no strategy steps found", id="empty-text"),
+    pytest.param("just prose\n\n", 1, "no strategy steps found", id="prose-only"),
+]
+
+
+@pytest.mark.parametrize("text,position,reason", SOURCE_PLAN_ERRORS)
+def test_source_plan_error_position_and_reason(text, position, reason):
+    with pytest.raises(ParseError) as info:
+        parse_source_plan(text, "#So")
+    assert (info.value.position, info.value.reason) == (position, reason)
+    assert str(info.value) == f"line {position}: {reason}"
+
+
+@pytest.mark.parametrize("text,position,reason", STRATEGY_PLAN_ERRORS)
+def test_strategy_plan_error_position_and_reason(text, position, reason):
+    with pytest.raises(ParseError) as info:
+        parse_strategy_plan(text)
+    assert (info.value.position, info.value.reason) == (position, reason)
+    assert str(info.value) == f"line {position}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "text,name",
+    [
+        ("Plan: a\n#So1 = PERSONA[#So2]\nPlan: b\n#So2 = DOCUMENT[context]", "So2"),
+        ("Plan: a\n#So1 = DOCUMENT[#So9]", "So9"),
+        ("#So1 = DOCUMENT[overview of #So1]", "So1"),
+        # the first error in line order wins
+        ("#So1 = DOCUMENT[#So3]\nPlan: a\nPlan: b", "So3"),
+    ],
+)
+def test_dangling_reference_names_variable(text, name):
+    with pytest.raises(DanglingReference) as info:
+        parse_source_plan(text, "#So")
+    assert info.value.name == name
+    assert str(info.value) == f"reference to undefined or later variable #{name}"
+
+
+def test_plan_line_pairs_across_blank_lines_and_prose():
+    source = parse_source_plan(
+        "Plan: Search memories.\n\nI will now write it down.\n   \n#So1 = PERSONA[context]",
+        "#So",
+    )
+    assert source == SourcePlanProgram(
+        (SourcePlanStep("Search memories.", "PERSONA", "So1", QuerySpec((ContextRef(),))),)
+    )
+    strategy = parse_strategy_plan("Plan: Hint\n\nsome prose\n\t\nDo: box is scatola.")
+    assert strategy == (StrategyPlanStep("Hint", "box is scatola."),)
+
+
+# Differential oracle: the readers against copies of their earlier bodies
+# (tests/oracles.py), on text built from labelled lines with ragged
+# whitespace, so every pairing and error branch is reached.
+_PAD = st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=2)
+_WORD = st.sampled_from(["", "Hint", "Question", "Search memories.", "x", "#So1"])
+
+
+@st.composite
+def _labelled_text(draw):
+    index = st.integers(min_value=0, max_value=4)
+    query = st.one_of(
+        st.just("context"),
+        st.builds(lambda s, i: f"{s}{i}", st.sampled_from(["#So", "#E"]), index),
+        st.builds(lambda i: f"overview of #So{i}", index),
+    )
+    plan = st.builds(lambda w: f"Plan: {w}", _WORD)
+    do = st.builds(lambda w: f"Do:{w}", _WORD)
+    assignment = st.builds(
+        lambda s, i, src, q: f"{s}{i} = {src}[{q}]",
+        st.sampled_from(["#So", "#E"]),
+        index,
+        st.sampled_from(["PERSONA", "DOCUMENT"]),
+        query,
+    )
+    prose = st.sampled_from(["", "Thought: think first.", "prose", "Plan", "Do"])
+    if draw(st.booleans()):  # only pairs of one kind and prose, so plans also parse
+        follower = draw(st.sampled_from([do, assignment]))
+        line = st.one_of(st.builds(lambda p, f: f"{p}\n{f}", plan, follower), prose)
+    else:
+        line = st.one_of(plan, do, assignment, prose)
+    padded = st.builds(lambda a, body, b: a + body + b, _PAD, line, _PAD)
+    return "\n".join(draw(st.lists(padded, max_size=8)))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, DanglingReference) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)  # the readers are cheap; most texts end in an error
+@given(_labelled_text(), st.sampled_from(["#So", "#E"]))
+def test_readers_match_pairwise_oracle(text, sigil):
+    assert _outcome(lambda t: parse_source_plan(t, sigil), text) == _outcome(
+        lambda t: pairwise_source_plan(t, sigil), text
+    )
+    assert _outcome(parse_strategy_plan, text) == _outcome(pairwise_strategy_plan, text)
 
 
 class TestParseStrategyPlan:
