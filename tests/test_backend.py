@@ -155,6 +155,27 @@ class TestLiveBackend:
         assert generation.text == "hello"
         assert generation.prompt_tokens == 7
 
+    @pytest.mark.parametrize("stop", [("Dialogue:",), None])
+    def test_wire_body_is_pinned(self, monkeypatch, stop):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        bodies = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            bodies.append(json)
+            return _FakeResponse(200, _ok_payload())
+
+        self._backend(post).complete(CompletionRequest.from_prompt("p", "m", stop=stop))
+        expected = {
+            "model": "m",
+            "messages": [{"role": "user", "content": "p"}],
+            "temperature": 0.0,
+            "top_p": 0.1,
+        }
+        if stop:
+            expected["stop"] = ["Dialogue:"]
+        assert bodies == [expected]
+        assert "max_tokens" not in bodies[0]
+
     def test_retries_then_success(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         responses = [_FakeResponse(500), _FakeResponse(200, _ok_payload())]
