@@ -40,8 +40,9 @@ from conductor.retrieval import tokenize
 
 API_KEY_ENV = "CONDUCTOR_API_KEY"
 DEFAULT_TIMEOUT_S = 120.0
-DEFAULT_ATTEMPTS = 3
-DEFAULT_MAX_IN_FLIGHT = 4
+ATTEMPTS = 3
+TEMPERATURE = 0.0
+TOP_P = 0.1
 
 _CENT_MICRO = Decimal("0.000001")
 
@@ -50,22 +51,17 @@ _CENT_MICRO = Decimal("0.000001")
 class CompletionRequest:
     messages: tuple[tuple[str, str], ...]  # ordered (role, content)
     model_id: str
-    temperature: float = 0.0
-    top_p: float = 0.1
-    max_tokens: int | None = None
     stop: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
         if not self.messages:
             raise ValueError("request needs at least one message")
 
     @classmethod
-    def from_prompt(cls, prompt: str, model_id: str, **kwargs: Any) -> "CompletionRequest":
-        return cls(messages=(("user", prompt),), model_id=model_id, **kwargs)
+    def from_prompt(
+        cls, prompt: str, model_id: str, stop: tuple[str, ...] | None = None
+    ) -> "CompletionRequest":
+        return cls(messages=(("user", prompt),), model_id=model_id, stop=stop)
 
     @property
     def prompt_text(self) -> str:
@@ -78,8 +74,8 @@ class CompletionRequest:
 def request_hash(request: CompletionRequest) -> str:
     """Stable fixture key: sha256 over (model_id, messages) only.
 
-    Sampling parameters are deliberately excluded so fixtures survive
-    temperature/stop tweaks that cannot change a recorded response.
+    Stop sequences are deliberately excluded so fixtures survive stop
+    tweaks that cannot change a recorded response.
     """
     canonical = json.dumps(
         {"model": request.model_id, "messages": [list(m) for m in request.messages]},
@@ -134,8 +130,8 @@ class PriceTable:
 
     def __post_init__(self) -> None:
         for model_id, rate in self.rates.items():
-            if rate <= 0:
-                raise ValueError(f"rate for {model_id!r} must be positive")
+            if not rate.is_finite() or rate <= 0:
+                raise ValueError(f"rate for {model_id!r} must be positive and finite")
 
     def rate_for(self, model_id: str) -> Decimal:
         if model_id not in self.rates:
@@ -196,7 +192,7 @@ class Backend:
 
 
 class TokenBucket:
-    """Request-rate gate: `rate` tokens/second up to `capacity` burst.
+    """Request-rate gate: `rate` tokens/second, bursting up to max(1, rate).
 
     acquire() blocks (via the injected sleep) until a token is available.
     Thread-safe; the clock is injectable so tests can drive it.
@@ -205,14 +201,13 @@ class TokenBucket:
     def __init__(
         self,
         rate: float,
-        capacity: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.capacity = capacity if capacity is not None else max(1.0, rate)
+        self.capacity = max(1.0, rate)
         self._tokens = self.capacity
         self._clock = clock
         self._sleep = sleep_fn
@@ -237,29 +232,25 @@ class TokenBucket:
 class LiveBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
-    Admission is bounded by a semaphore (default 4 in-flight) and, when
-    `requests_per_second` is set, by a token-bucket rate limiter. Transient
-    failures (connection errors, 429, 5xx, a malformed 200 body) retry with
-    exponential backoff; other 4xx fail immediately. `post_fn` and
-    `sleep_fn` are injectable for tests.
+    Each `complete` is one post at a time from the calling thread, so the
+    caller's thread count is the in-flight bound (`run_batch` runs at most
+    `parallelism` at once). When `requests_per_second` is set, a token
+    bucket gates each post. Transient failures (connection errors, 429,
+    5xx, a malformed 200 body) retry with exponential backoff, ATTEMPTS
+    posts in all; other 4xx fail immediately. `post_fn` and `sleep_fn` are
+    injectable for tests.
     """
 
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = API_KEY_ENV,
-        attempts: int = DEFAULT_ATTEMPTS,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         requests_per_second: float | None = None,
         post_fn: Callable[..., Any] | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
-        self.api_key_env = api_key_env
-        self.attempts = attempts
         self.timeout_s = timeout_s
-        self._admission = threading.BoundedSemaphore(max_in_flight)
         self._bucket = (
             TokenBucket(requests_per_second, sleep_fn=sleep_fn)
             if requests_per_second
@@ -273,19 +264,17 @@ class LiveBackend(Backend):
         self._post = post_fn
 
     def complete(self, request: CompletionRequest) -> Generation:
-        api_key = os.environ.get(self.api_key_env, "").strip()
+        api_key = os.environ.get(API_KEY_ENV, "").strip()
         if not api_key:
-            raise AuthMissing(self.api_key_env)
+            raise AuthMissing(API_KEY_ENV)
         body: dict[str, Any] = {
             "model": request.model_id,
             "messages": [
                 {"role": role, "content": content} for role, content in request.messages
             ],
-            "temperature": request.temperature,
-            "top_p": request.top_p,
+            "temperature": TEMPERATURE,
+            "top_p": TOP_P,
         }
-        if request.max_tokens is not None:
-            body["max_tokens"] = request.max_tokens
         if request.stop:
             body["stop"] = list(request.stop)
         headers = {
@@ -296,17 +285,14 @@ class LiveBackend(Backend):
 
         last_status: int | None = None
         last_error = ""
-        for attempt in range(self.attempts):
+        for attempt in range(ATTEMPTS):
             if attempt:
                 self._sleep(2.0 ** (attempt - 1))
             started = time.monotonic()
             try:
-                with self._admission:
-                    if self._bucket is not None:
-                        self._bucket.acquire()
-                    response = self._post(
-                        url, json=body, headers=headers, timeout=self.timeout_s
-                    )
+                if self._bucket is not None:
+                    self._bucket.acquire()
+                response = self._post(url, json=body, headers=headers, timeout=self.timeout_s)
             except Exception as exc:  # connection-level failure: retry
                 last_status, last_error = None, repr(exc)
                 continue
@@ -323,10 +309,8 @@ class LiveBackend(Backend):
                 continue
             return generation
         if last_status == 429:
-            raise RateLimited(f"still rate-limited after {self.attempts} attempts")
-        raise BackendUnavailable(
-            f"gave up after {self.attempts} attempts (last: {last_error})"
-        )
+            raise RateLimited(f"still rate-limited after {ATTEMPTS} attempts")
+        raise BackendUnavailable(f"gave up after {ATTEMPTS} attempts (last: {last_error})")
 
 
 def _reply_generation(

@@ -22,7 +22,6 @@ from importlib import resources
 
 from conductor.backend import (
     Backend,
-    DEFAULT_MAX_IN_FLIGHT,
     DEFAULT_PRICES,
     LiveBackend,
     PriceTable,
@@ -35,7 +34,6 @@ from conductor.data import (
     load_records,
     export_records,
     references_from_samples,
-    select_demonstrations,
 )
 from conductor.errors import (
     ConductorError,
@@ -80,9 +78,7 @@ def _build_backend(args: argparse.Namespace) -> Backend:
         base_url = getattr(args, "base_url", None)
         if not base_url:
             raise ConfigError("live backend requires --base-url")
-        # `run` admits --parallelism requests at once; `chat` has no such flag
-        in_flight = max(1, getattr(args, "parallelism", DEFAULT_MAX_IN_FLIGHT))
-        return LiveBackend(base_url, max_in_flight=in_flight)
+        return LiveBackend(base_url)
     raise ConfigError(f"unknown backend {selector!r} (use live or replay:<path>)")
 
 
@@ -93,7 +89,7 @@ def _prices(args: argparse.Namespace) -> PriceTable:
 
 
 def _method_config(args: argparse.Namespace) -> MethodConfig:
-    config = MethodConfig(
+    return MethodConfig(
         method=Method(args.method),
         dataset_kind=SchemaKind(args.kind),
         model_id=args.model,
@@ -106,10 +102,6 @@ def _method_config(args: argparse.Namespace) -> MethodConfig:
         enrich_query_with_status=not args.no_query_enrichment,
         react_max_steps=args.react_max_steps,
     )
-    if args.demos is not None:
-        # fail fast on a count the (kind, method) bank cannot satisfy
-        select_demonstrations(config.dataset_kind, args.method, count=args.demos)
-    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:

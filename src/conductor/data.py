@@ -50,7 +50,6 @@ from conductor.profiles import profile_for
 
 FOCUS_PERSONA_CANDIDATES = 5
 FOCUS_DOCUMENT_CANDIDATES = 10
-OTHERS_LABEL = "Others"
 
 
 @dataclass(frozen=True)
@@ -79,50 +78,52 @@ class Sample:
 
 # Gold strategy names each strategy schema accepts.
 _GOLD_STRATEGIES = {
-    kind: frozenset(profile_for(kind).strategy_toolset.names()) | {OTHERS_LABEL}
+    kind: frozenset(profile_for(kind).strategy_toolset.names())
     for kind in SchemaKind
     if profile_for(kind).strategy_toolset is not None
 }
 
 
-def _require(obj: dict, key: str, type_: type, line_no: int) -> Any:
+def _require(obj: dict, key: str, type_: type) -> Any:
     if key not in obj:
-        raise SchemaViolation(line_no, f"missing field {key!r}")
+        raise SchemaViolation(0, f"missing field {key!r}")
     value = obj[key]
     if not isinstance(value, type_):
-        raise SchemaViolation(line_no, f"field {key!r} must be {type_.__name__}")
+        raise SchemaViolation(0, f"field {key!r} must be {type_.__name__}")
     return value
 
 
-def _index(value: Any, key: str, bound: int, line_no: int) -> int:
+def _index(value: Any, key: str, bound: int) -> int:
     """A candidate index; a JSON boolean is not one."""
     if type(value) is not int or not 0 <= value < bound:
         raise SchemaViolation(
-            line_no, f"{key} out of range: {value!r} is not an int in 0..{bound - 1}"
+            0, f"{key} out of range: {value!r} is not an int in 0..{bound - 1}"
         )
     return value
 
 
-def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
-    sample_id = _require(obj, "id", str, line_no)
+def sample_from_obj(obj: dict, kind: SchemaKind) -> Sample:
+    """The Sample one dataset object holds. A SchemaViolation names line 0;
+    `_load_lines` re-raises it with the file line."""
+    sample_id = _require(obj, "id", str)
     if not sample_id:
-        raise SchemaViolation(line_no, "id must be non-empty")
-    turns = _require(obj, "dialogue", list, line_no)
+        raise SchemaViolation(0, "id must be non-empty")
+    turns = _require(obj, "dialogue", list)
     utterances = []
     for i, turn in enumerate(turns):
         if not isinstance(turn, dict) or "speaker" not in turn or "text" not in turn:
-            raise SchemaViolation(line_no, f"dialogue[{i}] needs speaker and text")
+            raise SchemaViolation(0, f"dialogue[{i}] needs speaker and text")
         if not isinstance(turn["speaker"], str) or not isinstance(turn["text"], str):
-            raise SchemaViolation(line_no, f"dialogue[{i}] speaker/text must be strings")
+            raise SchemaViolation(0, f"dialogue[{i}] speaker/text must be strings")
         try:
             utterances.append(Utterance(speaker=turn["speaker"], text=turn["text"]))
         except (ValueError, TypeError) as exc:
-            raise SchemaViolation(line_no, f"dialogue[{i}]: {exc}")
+            raise SchemaViolation(0, f"dialogue[{i}]: {exc}")
     try:
         dialogue = Dialogue(id=sample_id, utterances=tuple(utterances), schema_kind=kind)
     except ValueError as exc:
-        raise SchemaViolation(line_no, str(exc))
-    gold_response = _require(obj, "gold_response", str, line_no)
+        raise SchemaViolation(0, str(exc))
+    gold_response = _require(obj, "gold_response", str)
 
     persona_candidates = document_candidates = None
     gold_persona_indices: tuple[int, ...] | None = None
@@ -130,44 +131,43 @@ def sample_from_obj(obj: dict, kind: SchemaKind, line_no: int = 0) -> Sample:
     gold_strategies: tuple[str, ...] | None = None
 
     if kind is SchemaKind.FOCUS:
-        personas = _require(obj, "persona_candidates", list, line_no)
-        documents = _require(obj, "document_candidates", list, line_no)
+        personas = _require(obj, "persona_candidates", list)
+        documents = _require(obj, "document_candidates", list)
         if len(personas) != FOCUS_PERSONA_CANDIDATES:
             raise SchemaViolation(
-                line_no,
+                0,
                 f"persona_candidates must have exactly {FOCUS_PERSONA_CANDIDATES} "
                 f"entries, got {len(personas)}",
             )
         if len(documents) != FOCUS_DOCUMENT_CANDIDATES:
             raise SchemaViolation(
-                line_no,
+                0,
                 f"document_candidates must have exactly {FOCUS_DOCUMENT_CANDIDATES} "
                 f"entries, got {len(documents)}",
             )
         if not all(isinstance(c, str) for c in personas + documents):
-            raise SchemaViolation(line_no, "candidate texts must be strings")
+            raise SchemaViolation(0, "candidate texts must be strings")
         persona_candidates = tuple(personas)
         document_candidates = tuple(documents)
         if obj.get("gold_persona_indices") is not None:
             gold_persona_indices = tuple(
-                _index(i, "gold_persona_indices", FOCUS_PERSONA_CANDIDATES, line_no)
-                for i in _require(obj, "gold_persona_indices", list, line_no)
+                _index(i, "gold_persona_indices", FOCUS_PERSONA_CANDIDATES)
+                for i in _require(obj, "gold_persona_indices", list)
             )
         if obj.get("gold_document_index") is not None:
             gold_document_index = _index(
                 obj["gold_document_index"],
                 "gold_document_index",
                 FOCUS_DOCUMENT_CANDIDATES,
-                line_no,
             )
     else:
-        strategies = _require(obj, "gold_strategies", list, line_no)
+        strategies = _require(obj, "gold_strategies", list)
         if not strategies:
-            raise SchemaViolation(line_no, "gold_strategies must be non-empty")
+            raise SchemaViolation(0, "gold_strategies must be non-empty")
         allowed = _GOLD_STRATEGIES[kind]
         for name in strategies:
             if not isinstance(name, str) or name not in allowed:
-                raise SchemaViolation(line_no, f"unknown gold strategy {name!r}")
+                raise SchemaViolation(0, f"unknown gold strategy {name!r}")
         gold_strategies = tuple(strategies)
 
     return Sample(

@@ -133,6 +133,9 @@ class MethodConfig:
                 f"{self.method.value} does not run on {self.dataset_kind.value} "
                 f"(supported kinds: {', '.join(kind.value for kind in supported)})"
             )
+        if self.demo_count is not None:
+            # fail up front on a count the (kind, method) bank cannot satisfy
+            select_demonstrations(self.dataset_kind, self.method.value, count=self.demo_count)
 
 
 def combine_middle(fragments: Sequence[str]) -> str:

@@ -153,8 +153,8 @@ def enrich_query(dialogue_text: str, internal_status: str | None = None) -> str:
 class Bm25Retriever:
     """(query, k) -> ranked passages over one corpus."""
 
-    def __init__(self, corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-        self.index = build_index(corpus, k1=k1, b=b)
+    def __init__(self, corpus: Corpus):
+        self.index = build_index(corpus)
 
     def retrieve(self, query: str, k: int) -> list[tuple[str, str, float]]:
         return retrieve_topk(self.index, query, k)

@@ -5,32 +5,43 @@ load_template``, ``conductor.retrieval.build_index``, ...) that the program
 looks up at call time, and the benchmark times `run_method` where
 `run_batch` looks it up. A refactor that moves one of them fails here
 rather than as a failed benchmark run. The eval-phase guard catches a
-metric that stops looking its helpers up where the tracer patches them.
+metric that stops looking its helpers up where the tracer patches them, and
+the construction guard a backend or `Generation` signature the harness
+still calls.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 from conftest import FIXTURES
 from conductor import evalmetrics, pipelines
-from conductor.backend import ReplayBackend
+from conductor.backend import (
+    API_KEY_ENV,
+    CompletionRequest,
+    Generation,
+    LiveBackend,
+    ReplayBackend,
+    make_fixture_record,
+)
 from conductor.core import RunRecord, SchemaKind
 from conductor.data import load_dataset, references_from_samples, select_demonstrations
 
-TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_and_is_restored():
-    tracer_module = _load_tracer()
+    tracer_module = _load("tracer")
     owners = [
         (tracer_module._resolve(path), attr) for path, attr, _ in tracer_module.TARGETS
     ]
@@ -99,7 +110,7 @@ def _psyqa():
 def test_eval_phase_reaches_every_traced_metric(monkeypatch):
     scored = {kind: _replayed(kind) for kind in (SchemaKind.FOCUS, SchemaKind.CIMA)}
     scored[SchemaKind.PSYQA] = _psyqa()
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         tracer.phase = "eval"
@@ -122,3 +133,29 @@ def test_eval_phase_reaches_every_traced_metric(monkeypatch):
         assert tracer.layer("eval", layer)[0] > 0, layer
     assert tracer.layer("eval", "retrieval.tokenize")[0] == len(via_evalmetrics)
     assert tracer.layer("run", "retrieval.tokenize")[0] == 0
+
+
+def test_backends_build_as_the_harness_builds_them(monkeypatch, tmp_path):
+    # perfbench/bench.py: the live-sim backend posts to an in-process server.
+    fixture = make_fixture_record("gpt-3.5-turbo", "prompt", "reply")
+    server = _load("simserver").SimServer({fixture["hash"]: fixture}, 0.0)
+    monkeypatch.setenv(API_KEY_ENV, "perfbench-dummy-key")
+    live = LiveBackend("http://sim.invalid/v1", post_fn=server.post)
+    request = CompletionRequest(messages=(("user", "prompt"),), model_id="gpt-3.5-turbo")
+    assert live.complete(request).text == "reply"
+    assert (server.posts, server.in_flight_max) == (1, 1)
+    # perfbench/setup_probe.py: set-up time of each backend.
+    LiveBackend("http://127.0.0.1:9/v1")
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(json.dumps(fixture) + "\n", encoding="utf-8")
+    assert ReplayBackend.load(str(path)).complete(request).text == "reply"
+    # perfbench/workloads.py: ScriptedBackend's generations.
+    generation = Generation(
+        text="reply",
+        prompt_tokens=1,
+        completion_tokens=1,
+        latency_ms=0,
+        backend_tag="replay",
+        model_id="gpt-3.5-turbo",
+    )
+    assert generation.usage().backend_tag == "replay"

@@ -3,12 +3,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, GOLDEN
-from conductor.backend import DEFAULT_MAX_IN_FLIGHT
+from conductor.backend import API_KEY_ENV, LiveBackend
 from conductor.cli import main
 
 REPLAY = str(FIXTURES / "replay.jsonl")
@@ -499,33 +500,93 @@ class TestChat:
         assert "[response] ???" in printed
 
 
-class _Built(Exception):
-    """Stops a command right after it builds its backend."""
+class _Reply:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": "fine"}}]}
+
+
+class _CountingServer:
+    """A `post_fn` that counts the calls in flight. The first `meet` calls
+    wait for each other at a barrier, so they all meet only if that many
+    calls can be in flight at once."""
+
+    def __init__(self, meet: int):
+        self.meet = meet
+        self.barrier = threading.Barrier(meet, timeout=10) if meet else None
+        self.lock = threading.Lock()
+        self.posts = self.in_flight = self.peak = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.posts += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            meets = self.posts <= self.meet
+        try:
+            if meets:
+                self.barrier.wait()
+            return _Reply()
+        finally:
+            with self.lock:
+                self.in_flight -= 1
 
 
 class TestLiveInFlight:
-    LIVE = ["--method", "tpe", "--kind", "cima", "--backend", "live",
-            "--base-url", "http://localhost:1"]
+    LIVE = ["--kind", "cima", "--backend", "live", "--base-url", "http://localhost:1"]
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        seen = {}
+    def serve(self, monkeypatch):
+        def install(meet=0):
+            server = _CountingServer(meet)
+            monkeypatch.setenv(API_KEY_ENV, "sk-test")
+            monkeypatch.setattr(
+                "conductor.cli.LiveBackend",
+                lambda base_url: LiveBackend(
+                    base_url, post_fn=server.post, sleep_fn=lambda _: None
+                ),
+            )
+            return server
 
-        def fake_live(base_url, **kwargs):
-            seen.update(kwargs)
-            raise _Built
+        return install
 
-        monkeypatch.setattr("conductor.cli.LiveBackend", fake_live)
-        return seen
+    def test_run_has_parallelism_calls_in_flight(self, serve, tmp_path):
+        server = serve(meet=16)
+        lines = Path(CIMA).read_text(encoding="utf-8").splitlines()
+        dataset = tmp_path / "samples.jsonl"
+        dataset.write_text(
+            "".join(
+                json.dumps({**json.loads(lines[i % len(lines)]), "id": f"s{i}"}) + "\n"
+                for i in range(20)
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.jsonl"
+        code = main(["run", "--method", "cot", *self.LIVE, "--dataset", str(dataset),
+                     "--out", str(out), "--parallelism", "16"])
+        assert code == 0
+        assert not server.barrier.broken
+        assert server.posts == 20
+        assert server.peak == 16
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 20
 
-    @pytest.mark.parametrize("parallelism, bound", [("16", 16), ("0", 1)])
-    def test_run_parallelism_sets_the_in_flight_bound(self, built, tmp_path, parallelism, bound):
-        with pytest.raises(_Built):
-            main(["run", *self.LIVE, "--dataset", CIMA, "--out", str(tmp_path / "o"),
-                  "--parallelism", parallelism])
-        assert built == {"max_in_flight": bound}
+    def test_chat_has_one_call_in_flight(self, serve, monkeypatch):
+        server = serve()
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\nare you there?\n"))
+        main(["chat", "--method", "tpe", *self.LIVE])
+        assert server.posts > 2
+        assert server.peak == 1
 
-    def test_chat_keeps_the_default_bound(self, built):
-        with pytest.raises(_Built):
-            main(["chat", *self.LIVE])
-        assert built == {"max_in_flight": DEFAULT_MAX_IN_FLIGHT}
+    @pytest.mark.parametrize("rate", ['"Infinity"', "Infinity"])
+    def test_infinite_price_fails_before_any_call(self, serve, tmp_path, capsys, rate):
+        server = serve()
+        prices = tmp_path / "prices.json"
+        prices.write_text(f'{{"gpt-3.5-turbo": {rate}}}', encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["run", "--method", "cot", *self.LIVE, "--dataset", CIMA,
+                     "--prices", str(prices), "--out", str(out)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert server.posts == 0
+        assert not out.exists()

@@ -585,6 +585,10 @@ class TestMethodConfig:
         with pytest.raises(ConfigError, match=f"supported kinds: {supported}"):
             MethodConfig(method=method, dataset_kind=kind)
 
+    @pytest.mark.parametrize("count", [9, -1])
+    def test_demo_count_beyond_the_bank_fails_up_front(self, count):
+        with pytest.raises(ConfigError, match="out of range"):
+            MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS, demo_count=count)
 
 class _FaultyBackend(Backend):
     """Replays the fixtures and keeps every prompt, but raises a non-conductor
