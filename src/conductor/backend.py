@@ -12,7 +12,8 @@ Two backends share one interface:
 
 Costs use a single blended per-1k-token USD rate per model. Each call's cost
 is quantized to six decimal places (half-even) before summing, so cost is
-exactly additive over any split of the usage list.
+exactly additive over any split of the usage list. Every cost product and
+sum is exact, however large the rate.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import threading
 import time
 import unicodedata
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from typing import Any, Callable, Iterable
 
-from conductor.core import CallUsage
+from conductor.core import CallUsage, check_counts
+from conductor.data import _check, _load_lines
 from conductor.errors import (
     AuthMissing,
     BackendUnavailable,
@@ -45,6 +47,8 @@ TEMPERATURE = 0.0
 TOP_P = 0.1
 
 _CENT_MICRO = Decimal("0.000001")
+# Wide enough that no cost product or sum is rounded or overflows.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -85,26 +89,18 @@ def request_hash(request: CompletionRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Generation:
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-    latency_ms: int
-    backend_tag: str
-    model_id: str
+@dataclass(frozen=True, kw_only=True)
+class Generation(CallUsage):
+    """One completion's text and its call's usage, whose counts CallUsage
+    checks."""
 
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+    text: str
 
     def usage(self) -> CallUsage:
+        """The call's usage alone, as a record stores it."""
         return CallUsage(
-            model_id=self.model_id,
-            backend_tag=self.backend_tag,
-            prompt_tokens=self.prompt_tokens,
-            completion_tokens=self.completion_tokens,
-            latency_ms=self.latency_ms,
+            self.model_id, self.backend_tag, self.prompt_tokens,
+            self.completion_tokens, self.latency_ms,
         )
 
 
@@ -167,7 +163,16 @@ DEFAULT_PRICES = PriceTable.from_mapping(
 def call_cost(usage: CallUsage, prices: PriceTable) -> Decimal:
     rate = prices.rate_for(usage.model_id)
     tokens = Decimal(usage.prompt_tokens + usage.completion_tokens)
-    return (tokens / Decimal(1000) * rate).quantize(_CENT_MICRO, rounding=ROUND_HALF_EVEN)
+    cost = _EXACT.multiply(tokens, rate).scaleb(-3, _EXACT)
+    return cost.quantize(_CENT_MICRO, ROUND_HALF_EVEN, _EXACT)
+
+
+def sum_costs(costs: Iterable[Decimal]) -> Decimal:
+    """The exact sum of `costs`, with at least six decimal places."""
+    total = Decimal("0.000000")
+    for cost in costs:
+        total = _EXACT.add(total, cost)
+    return total
 
 
 def compute_cost(usages: Iterable[CallUsage], prices: PriceTable) -> Decimal:
@@ -176,10 +181,7 @@ def compute_cost(usages: Iterable[CallUsage], prices: PriceTable) -> Decimal:
     Quantizing per call (not once at the end) is what makes cost exactly
     additive over any concatenation of usage lists.
     """
-    total = Decimal("0.000000")
-    for usage in usages:
-        total += call_cost(usage, prices)
-    return total
+    return sum_costs(call_cost(usage, prices) for usage in usages)
 
 
 # ---------------------------------------------------------------------------
@@ -319,34 +321,32 @@ def _reply_generation(
     """The Generation a 200 reply carries, estimating only a token count the
     server leaves out. None for a body that is not JSON, lacks
     ``choices[0].message.content``, or carries non-string content or a token
-    count that is not a non-negative integer. An unpaired surrogate escape
-    in the content (``"\\ud83d"``) becomes U+FFFD, so the record it ends up
-    in can be written as UTF-8."""
+    count that Generation rejects. An unpaired surrogate escape in the
+    content (``"\\ud83d"``) becomes U+FFFD, so the record it ends up in can
+    be written as UTF-8."""
     try:
         payload = response.json()
         text = payload["choices"][0]["message"]["content"]
         usage = payload.get("usage") or {}
-        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+        prompt_tokens = usage.get("prompt_tokens")
+        completion_tokens = usage.get("completion_tokens")
+        if not isinstance(text, str):
+            return None
+        text = text.encode("utf-16", "surrogatepass").decode("utf-16", "replace")
+        if prompt_tokens is None:
+            prompt_tokens = estimate_tokens(request.prompt_text)
+        if completion_tokens is None:
+            completion_tokens = estimate_tokens(text)
+        return Generation(
+            text=text,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
+            latency_ms=latency_ms,
+            backend_tag="live",
+            model_id=request.model_id,
+        )
     except (ValueError, LookupError, TypeError, AttributeError):
         return None
-    if not isinstance(text, str) or not all(
-        count is None or (type(count) is int and count >= 0) for count in counts
-    ):
-        return None
-    text = text.encode("utf-16", "surrogatepass").decode("utf-16", "replace")
-    prompt_tokens, completion_tokens = counts
-    if prompt_tokens is None:
-        prompt_tokens = estimate_tokens(request.prompt_text)
-    if completion_tokens is None:
-        completion_tokens = estimate_tokens(text)
-    return Generation(
-        text=text,
-        prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens,
-        latency_ms=latency_ms,
-        backend_tag="live",
-        model_id=request.model_id,
-    )
 
 
 def _body_head(response: Any) -> str:
@@ -377,41 +377,30 @@ def make_fixture_record(
     }
 
 
-def _replay_entry(record: dict[str, Any]) -> tuple[str, int, int]:
-    """(response, prompt_tokens, completion_tokens) of one fixture record."""
-    response = record["response"]
-    counts = (record["prompt_tokens"], record["completion_tokens"])
-    if not isinstance(response, str):
-        raise TypeError("response must be a string")
-    if not all(type(count) is int and count >= 0 for count in counts):
-        raise ValueError(f"token counts must be non-negative integers, got {counts}")
-    return (response, *counts)
+def _fixture_line(record: dict[str, Any]) -> dict[str, Any]:
+    """`record`, once its fields make a valid replay fixture line."""
+    _check(record.get("hash"), str, "hash")
+    _check(record.get("response"), str, "response")
+    check_counts(record.get("prompt_tokens"), record.get("completion_tokens"))
+    return record
 
 
 class ReplayBackend(Backend):
-    """Deterministic completions from a fixture file, keyed by request hash."""
+    """Deterministic completions from fixture lines, keyed by request hash.
+    `load` checks every line of a fixture file; lines passed in directly are
+    taken as `make_fixture_record` writes them."""
 
     def __init__(self, fixtures: Iterable[dict[str, Any]]):
         self._by_hash: dict[str, tuple[str, int, int]] = {
-            record["hash"]: _replay_entry(record) for record in fixtures
+            f["hash"]: (f["response"], f["prompt_tokens"], f["completion_tokens"])
+            for f in fixtures
         }
 
     @classmethod
     def load(cls, path: str) -> "ReplayBackend":
-        backend = cls(())
-        with open(path, "rb") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    backend._by_hash[record["hash"]] = _replay_entry(record)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigError(
-                        f"invalid replay fixture {path}:{line_no}: {exc}"
-                    )
-        return backend
+        """The fixture file at `path`; any invalid line fails the load with
+        every invalid line listed."""
+        return cls(_load_lines(path, _fixture_line))
 
     def complete(self, request: CompletionRequest) -> Generation:
         key = request_hash(request)

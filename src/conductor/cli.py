@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 partial failures present in records, or invalid
 lines found by schema-check (each printed as INVALID); 2 usage/config error,
-or a malformed dataset, record or sample file given to run, eval, analyze
-or chat. The live backend reads its bearer token from CONDUCTOR_API_KEY.
+or a malformed dataset, record, sample or replay fixture file given to run,
+eval, analyze or chat. The live backend reads its bearer token from
+CONDUCTOR_API_KEY.
 
 Record files are line-delimited JSON, one RunRecord per line (see
 docs/data_formats.md for the exact schema). Dataset and fixture paths may
@@ -26,6 +27,7 @@ from conductor.backend import (
     LiveBackend,
     PriceTable,
     ReplayBackend,
+    sum_costs,
 )
 from conductor.core import Dialogue, Evidence, ROLE_LABELS, SchemaKind, Utterance
 from conductor.data import (
@@ -118,9 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     export_records(records, args.out)
     failures = sum(1 for r in records if r.error is not None)
-    total_cost = Decimal("0.000000")
-    for record in records:
-        total_cost += record.cost_usd
+    total_cost = sum_costs(r.cost_usd for r in records)
     print(f"method={config.method.value} kind={config.dataset_kind.value}")
     print(f"samples={len(records)} failures={failures}")
     print("Cost (USD)")
@@ -180,13 +180,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     if args.analysis == "cost":
         # One row per (method, kind), mirroring the per-method cost table.
-        table: dict[tuple[str, str], Decimal] = {}
+        table: dict[tuple[str, str], list[Decimal]] = {}
         for record in records:
-            key = (record.method, record.kind.value)
-            table[key] = table.get(key, Decimal("0.000000")) + record.cost_usd
+            table.setdefault((record.method, record.kind.value), []).append(record.cost_usd)
         print(f"{'Method':<12}{'Dataset':<10}{'Cost (USD)'}")
-        for (method, kind), cost in sorted(table.items()):
-            print(f"{method:<12}{kind:<10}{cost}")
+        for (method, kind), costs in sorted(table.items()):
+            print(f"{method:<12}{kind:<10}{sum_costs(costs)}")
         return 0
     # retrieval accuracy against the dataset's gold candidate indices
     if not args.dataset or not args.kind:
@@ -201,10 +200,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_schema_check(args: argparse.Namespace) -> int:
-    kind = SchemaKind(args.kind)
+    if (args.what == "dataset") != bool(args.kind):
+        raise ConfigError("--kind is required with --what dataset, and only there")
     try:
         if args.what == "dataset":
-            items = load_dataset(args.path, kind)
+            items = load_dataset(args.path, SchemaKind(args.kind))
         else:
             items = load_records(args.path)
     except DatasetValidationError as exc:
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     schema_parser = sub.add_parser("schema-check", help="validate third-party exports")
     schema_parser.add_argument("--path", required=True)
     schema_parser.add_argument("--what", required=True, choices=["dataset", "records"])
-    schema_parser.add_argument("--kind", required=True, choices=[k.value for k in SchemaKind])
+    schema_parser.add_argument("--kind", choices=[k.value for k in SchemaKind])
     schema_parser.set_defaults(func=cmd_schema_check)
 
     chat_parser = sub.add_parser("chat", help="interactive probe over stdin turns")

@@ -200,6 +200,17 @@ class ErrorInfo:
     detail: str
 
 
+_COUNTS = ("prompt_tokens", "completion_tokens", "latency_ms")
+
+
+def check_counts(*counts: Any) -> None:
+    """Raise ValueError unless each of a call's counts, in `_COUNTS` order,
+    is an int, not a bool, and at least 0."""
+    for name, count in zip(_COUNTS, counts):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {count!r:.60}")
+
+
 @dataclass(frozen=True)
 class CallUsage:
     """Token accounting for one completion call, as stored on a RunRecord."""
@@ -211,8 +222,7 @@ class CallUsage:
     latency_ms: int = 0
 
     def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+        check_counts(self.prompt_tokens, self.completion_tokens, self.latency_ms)
 
 
 @dataclass

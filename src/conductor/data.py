@@ -17,7 +17,7 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from importlib import resources
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from conductor.core import (
     CallUsage,
@@ -47,6 +47,9 @@ from conductor.plangrammar import (
     VarRef,
 )
 from conductor.profiles import profile_for
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 FOCUS_PERSONA_CANDIDATES = 5
 FOCUS_DOCUMENT_CANDIDATES = 10
@@ -182,18 +185,18 @@ def sample_from_obj(obj: dict, kind: SchemaKind) -> Sample:
     )
 
 
-def _load_lines(path: str, parse: Callable[[dict], Any]) -> list:
-    """`parse` of each non-blank line's JSON object, in file order. Every
-    invalid line becomes a SchemaViolation, and any violation fails the whole
-    load with all of them listed."""
-    items: list = []
+def _load_lines(path: str | Traversable, parse: Callable[[dict], Any]) -> Iterator:
+    """`parse` of each non-blank line's JSON object, yielded in file order.
+    Every invalid line becomes a SchemaViolation; after the last line, any
+    violation fails the whole load with all of them listed. A str `path` is
+    a file path; a package resource is opened as it is."""
     violations: list[SchemaViolation] = []
-    with open(path, "rb") as handle:
+    with (open(path, "rb") if isinstance(path, str) else path.open("rb")) as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    items.append(parse(_check(json.loads(line), dict, "record")))
+                    yield parse(_check(json.loads(line), dict, "record"))
             except json.JSONDecodeError as exc:
                 violations.append(SchemaViolation(line_no, f"invalid JSON: {exc}"))
             except SchemaViolation as violation:
@@ -201,28 +204,26 @@ def _load_lines(path: str, parse: Callable[[dict], Any]) -> list:
             except (ValueError, TypeError) as exc:
                 violations.append(SchemaViolation(line_no, str(exc)))
     if violations:
-        raise DatasetValidationError(path, violations)
-    return items
+        raise DatasetValidationError(str(path), violations)
 
 
 def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
     """Validated samples in file order; any invalid line fails the whole load
     with every violation listed."""
-    return _load_lines(path, lambda obj: sample_from_obj(obj, kind))
+    return list(_load_lines(path, lambda obj: sample_from_obj(obj, kind)))
 
 
 # ---------------------------------------------------------------------------
 # Demonstration banks
 
 
-def _demo_bank_lines(kind: SchemaKind, method: str) -> list[dict]:
-    name = f"{kind.value}_{method}.jsonl"
-    path = resources.files("conductor").joinpath("demobanks", name)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise MissingDemoBank(kind.value, method)
-    return [json.loads(line) for line in raw.splitlines() if line.strip()]
+def _demonstration(obj: dict) -> Demonstration:
+    return Demonstration(
+        dialogue_text=_check(obj.get("dialogue"), str, "dialogue"),
+        thought_text=obj.get("thought"),
+        plan_text=obj.get("plan"),
+        response_text=obj.get("response"),
+    )
 
 
 def select_demonstrations(
@@ -230,16 +231,13 @@ def select_demonstrations(
 ) -> list[Demonstration]:
     """The fixed demonstrations for (kind, method); `count` trims for
     ablations (0 gives the zero-shot variant)."""
-    records = _demo_bank_lines(kind, method)
-    demos = [
-        Demonstration(
-            dialogue_text=record["dialogue"],
-            thought_text=record.get("thought"),
-            plan_text=record.get("plan"),
-            response_text=record.get("response"),
-        )
-        for record in records
-    ]
+    bank = resources.files("conductor").joinpath(
+        "demobanks", f"{kind.value}_{method}.jsonl"
+    )
+    try:
+        demos = list(_load_lines(bank, _demonstration))
+    except FileNotFoundError:
+        raise MissingDemoBank(kind.value, method)
     if count is None:
         return demos
     if count < 0 or count > len(demos):
@@ -451,7 +449,7 @@ def export_records(records: Iterable[RunRecord], path: str) -> None:
 def load_records(path: str) -> list[RunRecord]:
     """Records in file order; any invalid line fails the whole load with
     every violation listed."""
-    return _load_lines(path, record_from_obj)
+    return list(_load_lines(path, record_from_obj))
 
 
 def references_from_samples(samples: Sequence[Sample]) -> list[tuple[str, str]]:

@@ -29,6 +29,7 @@ from decimal import Decimal
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
+from conductor.backend import sum_costs
 from conductor.core import Evidence, RunRecord, SchemaKind
 from conductor.errors import EmptyCandidate, LengthMismatch
 from conductor.plangrammar import StrategyPlanStep
@@ -456,7 +457,7 @@ def score_run(
         n_failures=sum(1 for r in records if r.error is not None),
         per_sample=per_sample,
         aggregates=aggregates,
-        total_cost=sum((r.cost_usd for r in records), Decimal("0.000000")),
+        total_cost=sum_costs(r.cost_usd for r in records),
         strategy_histogram=histogram,
         retrieval_counts=counts,
     )

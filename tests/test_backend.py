@@ -177,6 +177,21 @@ class TestLiveBackend:
         backend = self._backend(post)
         assert backend.complete(CompletionRequest.from_prompt("p", "m")).text == "hello"
 
+    def test_connection_error_retried_then_success(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        posts, sleeps = [], []
+
+        def post(*args, **kwargs):
+            posts.append(1)
+            if len(posts) == 1:
+                raise ConnectionError("connection reset")
+            return _FakeResponse(200, _ok_payload())
+
+        backend = LiveBackend("https://example.test/v1", post_fn=post, sleep_fn=sleeps.append)
+        generation = backend.complete(CompletionRequest.from_prompt("p", "m"))
+        assert (generation.text, generation.prompt_tokens) == ("hello", 7)
+        assert (len(posts), sleeps) == (2, [1.0])
+
     def test_rate_limited_after_retries(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         calls = []
@@ -228,9 +243,11 @@ class TestLiveBackend:
             _FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
             _FakeResponse(200, {"choices": [{"message": {"content": 5}}]}),
             _FakeResponse(200, {**_ok_payload(), "usage": {"prompt_tokens": "7"}}),
+            _FakeResponse(200, {**_ok_payload(), "usage": {"completion_tokens": True}}),
+            _FakeResponse(200, {**_ok_payload(), "usage": {"prompt_tokens": -1}}),
         ],
         ids=["not_json", "no_choices", "no_content", "null_content", "int_content",
-             "string_usage"],
+             "string_usage", "bool_usage", "negative_usage"],
     )
     def test_malformed_body_fails_each_sample_not_the_batch(self, monkeypatch, reply):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
@@ -279,6 +296,16 @@ def _usage(prompt_tokens, completion_tokens, model="gpt-3.5-turbo"):
         prompt_tokens=prompt_tokens,
         completion_tokens=completion_tokens,
     )
+
+
+@pytest.mark.parametrize("cls", [CallUsage, Generation])
+@pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens", "latency_ms"])
+@pytest.mark.parametrize("value", [True, 2.5, -3, "1", None])
+def test_call_counts_are_non_negative_ints(cls, field, value):
+    counts = {"prompt_tokens": 1, "completion_tokens": 1, "latency_ms": 0, field: value}
+    text = {"text": "t"} if cls is Generation else {}
+    with pytest.raises(ValueError, match=f"^{field} must be a non-negative int, got "):
+        cls(model_id="m", backend_tag="b", **counts, **text)
 
 
 class TestTokenBucket:

@@ -170,6 +170,15 @@ class TestEval:
         assert report["aggregates"]["Rouge.L"] == pytest.approx(100.0)
         assert report["retrieval_counts"] == [2, 3]
 
+    def test_strategy_distribution_printed(self, tmp_path, capsys):
+        _, out = _run(tmp_path, method="tpe", kind="cima", dataset=CIMA)
+        code = main(["eval", "--records", str(out), "--references", CIMA, "--kind", "cima"])
+        assert code == 0
+        printed = capsys.readouterr().out.split("\nStrategy distribution\n")[1]
+        assert printed.splitlines()[:3] == [
+            "   33.3%  Hint Question", "   33.3%  Hint", "   33.3%  Question"
+        ]
+
     def test_missing_reference_id_exits_two(self, tmp_path):
         _, out = _run(tmp_path)
         records = out.read_text(encoding="utf-8").splitlines()
@@ -189,6 +198,12 @@ class TestAnalyze:
         printed = capsys.readouterr().out
         assert "Hint Question" in printed
         assert "33.3%" in printed
+
+    def test_no_strategy_plans_in_focus_records(self, tmp_path, capsys):
+        _, out = _run(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", "--records", str(out), "--analysis", "strategies"]) == 0
+        assert capsys.readouterr().out == "no parsed strategy plans in records\n"
 
     def test_cost_table_groups_by_method(self, tmp_path, capsys):
         _, tpe_out = _run(tmp_path, name="tpe.jsonl")
@@ -232,7 +247,16 @@ class TestSchemaCheck:
 
     def test_records_check(self, tmp_path):
         _, out = _run(tmp_path)
-        assert main(["schema-check", "--path", str(out), "--what", "records", "--kind", "focus"]) == 0
+        assert main(["schema-check", "--path", str(out), "--what", "records"]) == 0
+
+    @pytest.mark.parametrize(
+        "what, kind", [("records", ["--kind", "focus"]), ("dataset", [])], ids=["records", "dataset"]
+    )
+    def test_kind_only_with_dataset(self, tmp_path, capsys, what, kind):
+        _, out = _run(tmp_path)
+        capsys.readouterr()
+        assert main(["schema-check", "--path", str(out), "--what", what, *kind]) == 2
+        assert capsys.readouterr().err.startswith("config error: --kind")
 
     def test_garbage_records_reported_not_crashed(self, tmp_path, capsys):
         bad = tmp_path / "bad_records.jsonl"
@@ -241,7 +265,7 @@ class TestSchemaCheck:
             '"response": "r", "cost_usd": "not-a-number"}\n',
             encoding="utf-8",
         )
-        code = main(["schema-check", "--path", str(bad), "--what", "records", "--kind", "focus"])
+        code = main(["schema-check", "--path", str(bad), "--what", "records"])
         assert code == 1
         assert "INVALID" in capsys.readouterr().out
 
@@ -250,12 +274,12 @@ class TestSchemaCheck:
         capsys.readouterr()
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(out.read_bytes().splitlines(keepends=True)[0] + b"\xff\xfe{}\n")
-        code = main(["schema-check", "--path", str(bad), "--what", "records", "--kind", "focus"])
+        code = main(["schema-check", "--path", str(bad), "--what", "records"])
         assert code == 1
         assert capsys.readouterr().out.startswith("INVALID line 2: 'utf-8' codec can't decode")
 
     def test_directory_path_exits_two(self, tmp_path, capsys):
-        code = main(["schema-check", "--path", str(tmp_path), "--what", "records", "--kind", "focus"])
+        code = main(["schema-check", "--path", str(tmp_path), "--what", "records"])
         assert code == 2
         assert str(tmp_path) in capsys.readouterr().err
 
@@ -268,16 +292,23 @@ class TestSchemaCheck:
              "--backend", f"replay:{broken}", "--out", str(tmp_path / "o.jsonl")]
         )
         assert code == 2
-        assert f"{broken}:2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {broken}: 1 invalid line(s): line 2: 'utf-8' codec can't decode"
+        )
 
-    def test_malformed_replay_file_is_config_error(self, tmp_path):
+    def test_malformed_replay_file_lists_every_bad_line(self, tmp_path, capsys):
         broken = tmp_path / "broken_replay.jsonl"
-        broken.write_text('{"model": "m"}\n', encoding="utf-8")
+        first = Path(REPLAY).read_bytes().splitlines(keepends=True)[0]
+        broken.write_bytes(b'{"model": "m"}\n' + first + b"[]\n")
         code = main(
             ["run", "--method", "tpe", "--kind", "focus", "--dataset", FOCUS,
              "--backend", f"replay:{broken}", "--out", str(tmp_path / "o.jsonl")]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {broken}: 2 invalid line(s): line 1: hash must be str, got None; "
+            "line 3: record must be dict, got []\n"
+        )
 
     @pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
     @pytest.mark.parametrize("value", [None, "12", 1.5, -1])
@@ -298,7 +329,9 @@ class TestSchemaCheck:
              "--backend", f"replay:{broken}", "--out", str(out)]
         )
         assert code == 2
-        assert f"{broken}:1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken}: {len(fixtures)} invalid line(s): ")
+        assert f"line 1: {field} must be a non-negative int, got {value!r}" in err
         assert not out.exists()
 
     def test_malformed_price_table_is_config_error(self, tmp_path):
@@ -333,6 +366,30 @@ class TestSchemaCheck:
             assert Decimal(custom["cost_usd"]) == Decimal(default["cost_usd"]) * 500
 
 
+    def test_huge_price_costs_exactly(self, tmp_path, capsys):
+        prices = tmp_path / "prices.json"
+        prices.write_text('{"gpt-3.5-turbo": "1e30"}', encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(
+            ["run", "--method", "cot", "--kind", "cima", "--dataset", CIMA,
+             "--backend", "replay:fixture", "--prices", str(prices), "--out", str(out)]
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        total = 0
+        for record in records:
+            tokens = sum(u["prompt_tokens"] + u["completion_tokens"] for u in record["usages"])
+            assert record["cost_usd"] == f"{tokens * 10**27}.000000"
+            total += tokens * 10**27
+        assert f" {total}.000000\n" in capsys.readouterr().out
+        assert main(["analyze", "--records", str(out), "--analysis", "cost"]) == 0
+        assert capsys.readouterr().out.endswith(f"cot         cima      {total}.000000\n")
+        report = tmp_path / "report.json"
+        main(["eval", "--records", str(out), "--references", CIMA, "--kind", "cima",
+              "--out", str(report)])
+        assert json.loads(report.read_text())["total_cost_usd"] == f"{total}.000000"
+
+
 def _set_score(obj, value):
     obj["evidence"][0]["passages"][0][2] = value
 
@@ -341,6 +398,7 @@ def _set_score(obj, value):
 MALFORMED_RECORDS = {
     "missing_sample_id": lambda obj: obj.pop("sample_id"),
     "negative_prompt_tokens": lambda obj: obj["usages"][0].update(prompt_tokens=-3),
+    "negative_latency_ms": lambda obj: obj["usages"][0].update(latency_ms=-5),
     "unknown_kind": lambda obj: obj.update(kind="nope"),
     "empty_response_without_error": lambda obj: obj.update(response=""),
     "cost_not_decimal": lambda obj: obj.update(cost_usd="abc"),
@@ -386,7 +444,7 @@ class TestMalformedRecords:
         assert "line 1:" in capsys.readouterr().err
 
     def test_schema_check_reports_the_line(self, bad_file, capsys):
-        code = main(["schema-check", "--path", bad_file, "--what", "records", "--kind", "focus"])
+        code = main(["schema-check", "--path", bad_file, "--what", "records"])
         assert code == 1
         assert capsys.readouterr().out.startswith("INVALID line 1: ")
 
@@ -399,7 +457,7 @@ class TestMalformedRecords:
         ]
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["schema-check", "--path", str(bad), "--what", "records", "--kind", "focus"])
+        code = main(["schema-check", "--path", str(bad), "--what", "records"])
         assert code == 1
         printed = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in printed] == ["INVALID line 1", "INVALID line 3"]

@@ -6,6 +6,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import FIXTURES
+from conductor import data as data_module
 from conductor.core import (
     CallUsage,
     ErrorInfo,
@@ -200,6 +201,21 @@ class TestDemonstrations:
     def test_missing_bank(self):
         with pytest.raises(MissingDemoBank):
             select_demonstrations(SchemaKind.FOCUS, "cuecot")
+
+    def test_bad_bank_line_is_listed(self, tmp_path, monkeypatch):
+        (tmp_path / "demobanks").mkdir()
+        bank = tmp_path / "demobanks" / "cima_tpe.jsonl"
+        bank.write_text(
+            '{"dialogue": "d", "response": "r"}\n{"thought": "t"}\n{"dialogue": "d"}\n',
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(data_module.resources, "files", lambda package: tmp_path)
+        with pytest.raises(DatasetValidationError) as exc_info:
+            select_demonstrations(SchemaKind.CIMA, "tpe")
+        assert str(exc_info.value) == (
+            f"{bank}: 2 invalid line(s): line 2: dialogue must be str, got None; "
+            "line 3: demonstration needs thought, plan, or response"
+        )
 
     def test_selection_is_constant(self):
         first = select_demonstrations(SchemaKind.CIMA, "react")
