@@ -29,7 +29,7 @@ from conductor.backend import (
     ReplayBackend,
     sum_costs,
 )
-from conductor.core import Dialogue, Evidence, ROLE_LABELS, SchemaKind, Utterance
+from conductor.core import Dialogue, ROLE_LABELS, SchemaKind, Utterance
 from conductor.data import (
     Sample,
     load_dataset,
@@ -111,6 +111,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     prices = _prices(args)
     config = _method_config(args)
     samples = load_dataset(_resolve_dataset_path(args.dataset), config.dataset_kind)
+    prices.rate_for(config.model_id)  # an unpriced model leaves --out untouched
+    open(args.out, "a").close()  # an unwritable --out fails before the first call
     records = run_batch(
         samples,
         config,
@@ -251,11 +253,8 @@ def cmd_chat(args: argparse.Namespace) -> int:
             print(f"[thought] {record.thought.text}")
         if record.raw_plan_text:
             print(f"[plan] {record.raw_plan_text}")
-        for variable, value in record.evidence.items():
-            if isinstance(value, Evidence):
-                print(f"[evidence {variable}] {value.text()}")
-            else:
-                print(f"[evidence {variable}] {value}")
+        for variable in record.evidence.variables():
+            print(f"[evidence {variable}] {record.evidence.text_of(variable)}")
         if record.error:
             print(f"[error {record.error.kind}] {record.error.detail}")
         print(f"[response] {record.response}")
@@ -332,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConductorError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConductorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

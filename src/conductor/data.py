@@ -87,101 +87,73 @@ _GOLD_STRATEGIES = {
 }
 
 
-def _require(obj: dict, key: str, type_: type) -> Any:
-    if key not in obj:
-        raise SchemaViolation(0, f"missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, type_):
-        raise SchemaViolation(0, f"field {key!r} must be {type_.__name__}")
+def _check(value: Any, json_type: type, name: str) -> Any:
+    """`value`, which must have exactly `json_type` (a bool is not an int)."""
+    if type(value) is not json_type:
+        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r:.60}")
     return value
 
 
 def _index(value: Any, key: str, bound: int) -> int:
     """A candidate index; a JSON boolean is not one."""
     if type(value) is not int or not 0 <= value < bound:
-        raise SchemaViolation(
-            0, f"{key} out of range: {value!r} is not an int in 0..{bound - 1}"
-        )
+        raise ValueError(f"{key} out of range: {value!r} is not an int in 0..{bound - 1}")
     return value
 
 
+def _candidates(obj: dict, key: str, count: int) -> tuple[str, ...]:
+    """The `count` candidate texts stored under `key`."""
+    texts = _check(obj.get(key), list, key)
+    if len(texts) != count:
+        raise ValueError(f"{key} must have exactly {count} entries, got {len(texts)}")
+    for text in texts:
+        if type(text) is not str:
+            _check(text, str, f"{key} entry")  # raises: the type is wrong
+    return tuple(texts)
+
+
 def sample_from_obj(obj: dict, kind: SchemaKind) -> Sample:
-    """The Sample one dataset object holds. A SchemaViolation names line 0;
-    `_load_lines` re-raises it with the file line."""
-    sample_id = _require(obj, "id", str)
+    """The Sample one dataset object holds; ValueError or TypeError when a
+    required key is missing or a value is invalid."""
+    sample_id = _check(obj.get("id"), str, "id")
     if not sample_id:
-        raise SchemaViolation(0, "id must be non-empty")
-    turns = _require(obj, "dialogue", list)
+        raise ValueError("id must be non-empty")
     utterances = []
-    for i, turn in enumerate(turns):
-        if not isinstance(turn, dict) or "speaker" not in turn or "text" not in turn:
-            raise SchemaViolation(0, f"dialogue[{i}] needs speaker and text")
-        if not isinstance(turn["speaker"], str) or not isinstance(turn["text"], str):
-            raise SchemaViolation(0, f"dialogue[{i}] speaker/text must be strings")
-        try:
-            utterances.append(Utterance(speaker=turn["speaker"], text=turn["text"]))
-        except (ValueError, TypeError) as exc:
-            raise SchemaViolation(0, f"dialogue[{i}]: {exc}")
-    try:
-        dialogue = Dialogue(id=sample_id, utterances=tuple(utterances), schema_kind=kind)
-    except ValueError as exc:
-        raise SchemaViolation(0, str(exc))
-    gold_response = _require(obj, "gold_response", str)
-
-    persona_candidates = document_candidates = None
-    gold_persona_indices: tuple[int, ...] | None = None
-    gold_document_index = None
-    gold_strategies: tuple[str, ...] | None = None
-
-    if kind is SchemaKind.FOCUS:
-        personas = _require(obj, "persona_candidates", list)
-        documents = _require(obj, "document_candidates", list)
-        if len(personas) != FOCUS_PERSONA_CANDIDATES:
-            raise SchemaViolation(
-                0,
-                f"persona_candidates must have exactly {FOCUS_PERSONA_CANDIDATES} "
-                f"entries, got {len(personas)}",
-            )
-        if len(documents) != FOCUS_DOCUMENT_CANDIDATES:
-            raise SchemaViolation(
-                0,
-                f"document_candidates must have exactly {FOCUS_DOCUMENT_CANDIDATES} "
-                f"entries, got {len(documents)}",
-            )
-        if not all(isinstance(c, str) for c in personas + documents):
-            raise SchemaViolation(0, "candidate texts must be strings")
-        persona_candidates = tuple(personas)
-        document_candidates = tuple(documents)
-        if obj.get("gold_persona_indices") is not None:
-            gold_persona_indices = tuple(
-                _index(i, "gold_persona_indices", FOCUS_PERSONA_CANDIDATES)
-                for i in _require(obj, "gold_persona_indices", list)
-            )
-        if obj.get("gold_document_index") is not None:
-            gold_document_index = _index(
-                obj["gold_document_index"],
-                "gold_document_index",
-                FOCUS_DOCUMENT_CANDIDATES,
-            )
-    else:
-        strategies = _require(obj, "gold_strategies", list)
+    for i, turn in enumerate(_check(obj.get("dialogue"), list, "dialogue")):
+        name = f"dialogue[{i}]"
+        _check(turn, dict, name)
+        speaker = _check(turn.get("speaker"), str, name + " speaker")
+        utterances.append(Utterance(speaker, _check(turn.get("text"), str, name + " text")))
+    dialogue = Dialogue(id=sample_id, utterances=tuple(utterances), schema_kind=kind)
+    gold_response = _check(obj.get("gold_response"), str, "gold_response")
+    if kind is not SchemaKind.FOCUS:
+        strategies = _check(obj.get("gold_strategies"), list, "gold_strategies")
         if not strategies:
-            raise SchemaViolation(0, "gold_strategies must be non-empty")
+            raise ValueError("gold_strategies must be non-empty")
         allowed = _GOLD_STRATEGIES[kind]
-        for name in strategies:
-            if not isinstance(name, str) or name not in allowed:
-                raise SchemaViolation(0, f"unknown gold strategy {name!r}")
-        gold_strategies = tuple(strategies)
-
+        for strategy in strategies:
+            if type(strategy) is not str or strategy not in allowed:
+                raise ValueError(f"unknown gold strategy {strategy!r}")
+        return Sample(sample_id, dialogue, gold_response, gold_strategies=tuple(strategies))
+    personas = _candidates(obj, "persona_candidates", FOCUS_PERSONA_CANDIDATES)
+    documents = _candidates(obj, "document_candidates", FOCUS_DOCUMENT_CANDIDATES)
+    indices = obj.get("gold_persona_indices")
+    if indices is not None:
+        indices = tuple(
+            _index(i, "gold_persona_indices", FOCUS_PERSONA_CANDIDATES)
+            for i in _check(indices, list, "gold_persona_indices")
+        )
+    document = obj.get("gold_document_index")
+    if document is not None:
+        document = _index(document, "gold_document_index", FOCUS_DOCUMENT_CANDIDATES)
     return Sample(
-        id=sample_id,
-        dialogue=dialogue,
-        gold_response=gold_response,
-        persona_candidates=persona_candidates,
-        document_candidates=document_candidates,
-        gold_persona_indices=gold_persona_indices,
-        gold_document_index=gold_document_index,
-        gold_strategies=gold_strategies,
+        sample_id,
+        dialogue,
+        gold_response,
+        persona_candidates=personas,
+        document_candidates=documents,
+        gold_persona_indices=indices,
+        gold_document_index=document,
     )
 
 
@@ -199,8 +171,6 @@ def _load_lines(path: str | Traversable, parse: Callable[[dict], Any]) -> Iterat
                     yield parse(_check(json.loads(line), dict, "record"))
             except json.JSONDecodeError as exc:
                 violations.append(SchemaViolation(line_no, f"invalid JSON: {exc}"))
-            except SchemaViolation as violation:
-                violations.append(SchemaViolation(line_no, violation.reason))
             except (ValueError, TypeError) as exc:
                 violations.append(SchemaViolation(line_no, str(exc)))
     if violations:
@@ -208,9 +178,18 @@ def _load_lines(path: str | Traversable, parse: Callable[[dict], Any]) -> Iterat
 
 
 def load_dataset(path: str, kind: SchemaKind) -> list[Sample]:
-    """Validated samples in file order; any invalid line fails the whole load
-    with every violation listed."""
-    return list(_load_lines(path, lambda obj: sample_from_obj(obj, kind)))
+    """Validated samples in file order; any invalid line, or one repeating an
+    earlier line's id, fails the whole load with every violation listed."""
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> Sample:
+        sample = sample_from_obj(obj, kind)
+        if sample.id in seen:
+            raise ValueError(f"duplicate id {sample.id!r}")
+        seen.add(sample.id)
+        return sample
+
+    return list(_load_lines(path, parse))
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +263,6 @@ _LAYOUTS = {
     for cls in (RunRecord, CallUsage, ErrorInfo, Evidence, SourcePlanStep,
                 StrategyPlanStep, *_SEGMENT_TAGS)
 }
-
-
-def _check(value: Any, json_type: type, name: str) -> Any:
-    """`value`, which must have exactly `json_type` (a bool is not an int)."""
-    if type(value) is not json_type:
-        raise TypeError(f"{name} must be {json_type.__name__}, got {value!r:.60}")
-    return value
 
 
 def _to_obj(part: Any, **stored: Any) -> dict:

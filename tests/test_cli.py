@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, QueueBackend
 from conductor.backend import API_KEY_ENV, LiveBackend
 from conductor.cli import main
 
@@ -103,6 +103,44 @@ class TestRun:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dataset,backend,message",
+        [
+            ("fixture:psyqa", [f"replay:{REPLAY}"], "unknown fixture dataset 'psyqa'"),
+            (CIMA, ["live"], "live backend requires --base-url"),
+            (CIMA, ["foo"], "unknown backend 'foo' (use live or replay:<path>)"),
+        ],
+        ids=["unknown-fixture", "live-without-base-url", "unknown-backend"],
+    )
+    def test_bad_selector_is_config_error(self, tmp_path, capsys, dataset, backend, message):
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["run", "--method", "cot", "--kind", "cima", "--dataset", dataset,
+             "--backend", *backend, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_repeated_sample_id_exits_two_before_any_call(self, tmp_path, capsys):
+        lines = Path(CIMA).read_text(encoding="utf-8").splitlines()
+        dataset = tmp_path / "dup.jsonl"
+        dataset.write_text(f"{lines[0]}\n{lines[0]}\n", encoding="utf-8")
+        sample_id = json.loads(lines[0])["id"]
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["run", "--method", "cot", "--kind", "cima", "--dataset", str(dataset),
+             "--backend", f"replay:{REPLAY}", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: 1 invalid line(s): line 2: duplicate id {sample_id!r}\n"
+        )
+        assert not out.exists()
+        code = main(["schema-check", "--path", str(dataset), "--what", "dataset", "--kind", "cima"])
+        assert code == 1
+        assert capsys.readouterr().out == f"INVALID line 2: duplicate id {sample_id!r}\n"
 
     def test_unpriced_model_exits_two_before_any_call(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
@@ -494,6 +532,35 @@ class TestChat:
         assert code == 0
         assert capsys.readouterr().out == ""
 
+    def test_focus_without_sample_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
+        code = main(["chat", "--method", "tpe", "--kind", "focus", "--backend", f"replay:{REPLAY}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: chat on a multi-source dataset requires --sample\n"
+
+    def test_strategy_fragments_printed_as_evidence(self, monkeypatch, capsys):
+        backend = QueueBackend(
+            "The student has the word but not the colour.",
+            " Hint\nDo: Verde is the colour of grass.\nPlan: Question\nDo: What colour is it?",
+        )
+        monkeypatch.setattr("conductor.cli._build_backend", lambda args: backend)
+        monkeypatch.setattr("sys.stdin", io.StringIO("what is the word for green?\n"))
+        code = main(["chat", "--method", "tpe", "--kind", "cima", "--backend", "replay:unused"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[thought] The student has the word but not the colour.",
+            "[plan] Plan: Hint",
+            "Do: Verde is the colour of grass.",
+            "Plan: Question",
+            "Do: What colour is it?",
+            "[evidence St1] Verde is the colour of grass.",
+            "[evidence St2] What colour is it?",
+            "[response] Verde is the colour of grass. What colour is it?",
+        ]
+        assert len(backend.requests) == 2
+
     def test_unpriced_model_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
         code = main(
@@ -635,6 +702,16 @@ class TestLiveInFlight:
         main(["chat", "--method", "tpe", *self.LIVE])
         assert server.posts > 2
         assert server.peak == 1
+
+    def test_unwritable_out_fails_before_any_call(self, serve, tmp_path, capsys):
+        server = serve()
+        out = tmp_path / "missing-dir" / "o.jsonl"
+        code = main(["run", "--method", "cot", *self.LIVE, "--dataset", CIMA, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert server.posts == 0
 
     @pytest.mark.parametrize("rate", ['"Infinity"', "Infinity"])
     def test_infinite_price_fails_before_any_call(self, serve, tmp_path, capsys, rate):

@@ -25,12 +25,7 @@ from conductor.data import (
     sample_from_obj,
     select_demonstrations,
 )
-from conductor.errors import (
-    ConfigError,
-    DatasetValidationError,
-    MissingDemoBank,
-    SchemaViolation,
-)
+from conductor.errors import ConfigError, DatasetValidationError, MissingDemoBank
 from conductor.plangrammar import StrategyPlanStep, parse_source_plan
 
 
@@ -65,15 +60,19 @@ class TestSampleValidation:
         assert sample.gold_strategies == ("Hint",)
 
     def test_focus_needs_exactly_five_personas(self):
-        with pytest.raises(SchemaViolation, match="exactly 5"):
+        with pytest.raises(
+            (ValueError, TypeError), match="persona_candidates must have exactly 5 entries, got 4"
+        ):
             sample_from_obj(_focus_obj(n_personas=4), SchemaKind.FOCUS)
 
     def test_focus_needs_exactly_ten_documents(self):
-        with pytest.raises(SchemaViolation, match="exactly 10"):
+        with pytest.raises(
+            (ValueError, TypeError), match="document_candidates must have exactly 10 entries, got 9"
+        ):
             sample_from_obj(_focus_obj(n_documents=9), SchemaKind.FOCUS)
 
     def test_unknown_gold_strategy(self):
-        with pytest.raises(SchemaViolation, match="unknown gold strategy"):
+        with pytest.raises((ValueError, TypeError), match="unknown gold strategy 'Nudge'"):
             sample_from_obj(_cima_obj(strategies=("Nudge",)), SchemaKind.CIMA)
 
     def test_others_label_allowed(self):
@@ -83,31 +82,37 @@ class TestSampleValidation:
     def test_dialogue_must_end_user_side(self):
         obj = _cima_obj()
         obj["dialogue"] = obj["dialogue"][:1]  # ends on Teacher
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(
+            (ValueError, TypeError), match="dialogue must end with the 'Student' side speaking"
+        ):
             sample_from_obj(obj, SchemaKind.CIMA)
 
     def test_gold_indices_range_checked(self):
         obj = _focus_obj()
         obj["gold_document_index"] = 10
-        with pytest.raises(SchemaViolation, match="out of range"):
+        with pytest.raises((ValueError, TypeError), match="gold_document_index out of range: 10"):
             sample_from_obj(obj, SchemaKind.FOCUS)
 
     def test_non_string_fields_rejected_not_crashed(self):
         obj = _cima_obj()
         obj["dialogue"][0]["text"] = 42
-        with pytest.raises(SchemaViolation, match="must be strings"):
+        with pytest.raises((ValueError, TypeError), match=r"dialogue\[0\] text must be str, got 42"):
             sample_from_obj(obj, SchemaKind.CIMA)
         obj = _focus_obj()
         obj["persona_candidates"][0] = None
-        with pytest.raises(SchemaViolation, match="must be strings"):
+        with pytest.raises(
+            (ValueError, TypeError), match="persona_candidates entry must be str, got None"
+        ):
             sample_from_obj(obj, SchemaKind.FOCUS)
         obj = _focus_obj()
         obj["gold_persona_indices"] = ["zero"]
-        with pytest.raises(SchemaViolation, match="out of range"):
+        with pytest.raises(
+            (ValueError, TypeError), match="gold_persona_indices out of range: 'zero'"
+        ):
             sample_from_obj(obj, SchemaKind.FOCUS)
         obj = _cima_obj()
         obj["gold_strategies"] = [None]
-        with pytest.raises(SchemaViolation, match="unknown gold strategy"):
+        with pytest.raises((ValueError, TypeError), match="unknown gold strategy None"):
             sample_from_obj(obj, SchemaKind.CIMA)
 
     @pytest.mark.parametrize(
@@ -115,8 +120,8 @@ class TestSampleValidation:
         [
             ("gold_document_index", True, "gold_document_index out of range: True"),
             ("gold_persona_indices", [False, True], "persona_indices out of range: False"),
-            ("gold_persona_indices", 3, "field 'gold_persona_indices' must be list"),
-            ("gold_persona_indices", "01", "field 'gold_persona_indices' must be list"),
+            ("gold_persona_indices", 3, "gold_persona_indices must be list, got 3"),
+            ("gold_persona_indices", "01", "gold_persona_indices must be list, got '01'"),
             ("gold_document_index", 2.0, "gold_document_index out of range: 2.0"),
         ],
     )
@@ -125,8 +130,28 @@ class TestSampleValidation:
         obj = json.loads(lines.splitlines()[0])
         assert sample_from_obj(obj, SchemaKind.FOCUS).gold_document_index is not None
         obj[key] = value
-        with pytest.raises(SchemaViolation, match=message):
+        with pytest.raises((ValueError, TypeError), match=message):
             sample_from_obj(obj, SchemaKind.FOCUS)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("id", "", "id must be non-empty"),
+            ("dialogue", ["hello"], r"dialogue\[0\] must be dict, got 'hello'"),
+            (
+                "dialogue",
+                [{"speaker": "Student", "text": "  "}],
+                "utterance text must be non-empty",
+            ),
+            ("gold_strategies", [], "gold_strategies must be non-empty"),
+        ],
+        ids=["empty-id", "turn-not-object", "blank-text", "no-gold-strategy"],
+    )
+    def test_cima_line_rejected(self, field, value, message):
+        obj = _cima_obj()
+        obj[field] = value
+        with pytest.raises((ValueError, TypeError), match=message):
+            sample_from_obj(obj, SchemaKind.CIMA)
 
 
 class TestLoadDataset:
@@ -151,6 +176,14 @@ class TestLoadDataset:
             load_dataset(str(path), SchemaKind.CIMA)
         assert len(exc_info.value.violations) == 2
         assert {v.line_no for v in exc_info.value.violations} == {2, 3}
+
+    def test_repeated_id_is_listed(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        lines = [_cima_obj("c1"), _cima_obj("c2"), _cima_obj("c1", strategies=("Question",))]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_dataset(str(path), SchemaKind.CIMA)
+        assert str(exc_info.value) == f"{path}: 1 invalid line(s): line 3: duplicate id 'c1'"
 
 
 class TestDemonstrations:

@@ -224,6 +224,13 @@ def test_plan_line_pairs_across_blank_lines_and_prose():
     assert strategy == (StrategyPlanStep("Hint", "box is scatola."),)
 
 
+@pytest.mark.parametrize("brackets", ["[]", "[  ]"], ids=["empty", "blank"])
+def test_empty_brackets_are_one_empty_literal(brackets):
+    program = parse_source_plan(f"Plan: Look it up.\n#So1 = PERSONA{brackets}", "#So")
+    assert program.steps[0].query == QuerySpec((Literal(""),))
+    assert substitute_vars(program.steps[0].query, EvidenceStore(), "ctx") == ""
+
+
 # Differential oracle: the readers against copies of their earlier bodies
 # (tests/oracles.py), on text built from labelled lines with ragged
 # whitespace, so every pairing and error branch is reached.
