@@ -132,6 +132,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     kind = SchemaKind(args.kind)
+    if args.out:
+        open(args.out, "a").close()  # an unwritable --out fails before scoring
     records = load_records(args.records)
     samples = load_dataset(_resolve_dataset_path(args.references), kind)
     by_id = {sample.id: sample for sample in samples}

@@ -188,8 +188,6 @@ def parse_source_plan(text: str, sigil: str = "#So") -> SourcePlanProgram:
     without a preceding Plan line gets an empty description. Forward or
     unknown variable references raise DanglingReference.
     """
-    if not sigil.startswith("#") or len(sigil) < 2:
-        raise ValueError("sigil must be a '#'-prefixed name like '#So' or '#E'")
     assign_re = re.compile(
         r"^\s*" + re.escape(sigil) + r"(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$"
     )

@@ -3,11 +3,11 @@
 These are written in the most naive transparent style on purpose: list
 slicing and .count() instead of Counters, memoized recursion instead of a
 DP table, per-document rescans for document frequencies. They must not
-share code with the implementations they check. The per-gram kernels and
-the plan readers at the end are the exception: copies of an earlier
-implementation, kept so that a rewrite can be held to identical results
-(bit-identical floats; the same plans, or the same errors at the same
-lines).
+share code with the implementations they check. The per-gram kernels,
+the plan readers and the per-character tokenizer at the end are the
+exception: copies of an earlier implementation, kept so that a rewrite can
+be held to identical results (bit-identical floats; the same plans, or the
+same errors at the same lines; the same terms).
 """
 
 from __future__ import annotations
@@ -374,3 +374,26 @@ def pairwise_strategy_plan(text):
     if not steps:
         raise ParseError(1, "no strategy steps found")
     return tuple(steps)
+
+
+_PER_CHAR_CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0xF900, 0xFAFF))
+
+
+def per_char_tokenize(text):
+    terms = []
+    buf = []
+    for ch in text.lower():
+        if any(lo <= ord(ch) <= hi for lo, hi in _PER_CHAR_CJK_RANGES):
+            if buf:
+                terms.append("".join(buf))
+                buf = []
+            terms.append(ch)
+        elif ch.isalnum():
+            buf.append(ch)
+        else:
+            if buf:
+                terms.append("".join(buf))
+                buf = []
+    if buf:
+        terms.append("".join(buf))
+    return terms

@@ -74,6 +74,12 @@ class TestReplayBackend:
         with pytest.raises(ReplayMiss):
             backend.complete(CompletionRequest.from_prompt("unknown", "m"))
 
+    def test_replay_miss_keeps_the_first_80_prompt_chars(self):
+        prompt = "".join(chr(ord("a") + i % 26) for i in range(100))
+        with pytest.raises(ReplayMiss) as exc_info:
+            self._backend().complete(CompletionRequest.from_prompt(prompt, "m"))
+        assert exc_info.value.prompt_head == prompt[:80]
+
     def test_two_calls_identical(self):
         backend = self._backend()
         request = CompletionRequest.from_prompt("prompt text", "m")
@@ -216,6 +222,15 @@ class TestLiveBackend:
         with pytest.raises(BackendUnavailable):
             backend.complete(CompletionRequest.from_prompt("p", "m"))
         assert len(calls) == 1
+
+    def test_client_error_message_ends_with_the_first_200_body_chars(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        response = _FakeResponse(404)
+        response.text = "".join(chr(ord("a") + i % 26) for i in range(300))
+        backend = self._backend(lambda *a, **k: response)
+        with pytest.raises(BackendUnavailable) as exc_info:
+            backend.complete(CompletionRequest.from_prompt("p", "m"))
+        assert str(exc_info.value) == f"HTTP 404: {response.text[:200]}"
 
     def test_reported_usage_is_never_estimated(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")

@@ -227,6 +227,20 @@ class TestEval:
         code = main(["eval", "--records", str(hacked), "--references", FOCUS, "--kind", "focus"])
         assert code == 2
 
+    def test_unwritable_out_exits_two_before_scoring(self, tmp_path, capsys):
+        _, out = _run(tmp_path)
+        capsys.readouterr()
+        missing = tmp_path / "missing-dir" / "report.json"
+        code = main(
+            ["eval", "--records", str(out), "--references", FOCUS,
+             "--kind", "focus", "--out", str(missing)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert not missing.parent.exists()
+
 
 class TestAnalyze:
     def test_strategy_histogram(self, tmp_path, capsys):

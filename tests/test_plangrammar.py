@@ -360,6 +360,12 @@ class TestParseReactStep:
         with pytest.raises(ParseError):
             parse_react_step("Thought: nothing actionable here")
 
+    def test_closing_bracket_alone_is_parse_error(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse_react_step("Thought: t\nAction: Empathy]")
+        assert exc_info.value.position == 2
+        assert exc_info.value.reason == "malformed brackets in action"
+
     def test_takes_final_action(self):
         step = parse_react_step(
             "Thought: first\nAction: Persona[context]\n"

@@ -35,6 +35,31 @@ class TestTokenize:
     def test_contractions_split(self):
         assert tokenize("don't") == ["don", "t"]
 
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("İ", ["i"]),  # lowercases to "i" plus a combining dot, which splits
+            ("a_b", ["a", "b"]),
+            ("a１２b", ["a１２b"]),
+            ("xꀀy", ["xꀀy"]),
+            ("x㏿y", ["x", "y"]),
+            ("x䷀y", ["x", "y"]),
+            ("x\uf8ffy", ["x", "y"]),
+            # each _CJK_RANGES endpoint, including unassigned U+FAFF
+            *((f"x{chr(c)}y", ["x", chr(c), "y"])
+              for c in (0x4E00, 0x9FFF, 0x3400, 0x4DBF, 0xF900, 0xFAFF)),
+        ],
+    )
+    def test_edge_cases(self, text, terms):
+        assert tokenize(text) == terms
+
+    def test_matches_per_character_oracle_on_every_bmp_codepoint(self):
+        for code in range(0x10000):
+            if 0xD800 <= code <= 0xDFFF:
+                continue
+            text = f"a{chr(code)}b"
+            assert tokenize(text) == oracles.per_char_tokenize(text), hex(code)
+
 
 def _corpus(*texts: str) -> Corpus:
     return Corpus("test", tuple((f"doc-{i:02d}", t) for i, t in enumerate(texts)))
