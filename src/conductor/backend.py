@@ -41,7 +41,7 @@ from conductor.errors import (
 from conductor.retrieval import tokenize
 
 API_KEY_ENV = "CONDUCTOR_API_KEY"
-DEFAULT_TIMEOUT_S = 120.0
+TIMEOUT_S = 120.0
 ATTEMPTS = 3
 TEMPERATURE = 0.0
 TOP_P = 0.1
@@ -246,13 +246,11 @@ class LiveBackend(Backend):
     def __init__(
         self,
         base_url: str,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
         requests_per_second: float | None = None,
         post_fn: Callable[..., Any] | None = None,
         sleep_fn: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
         self._bucket = (
             TokenBucket(requests_per_second, sleep_fn=sleep_fn)
             if requests_per_second
@@ -294,12 +292,12 @@ class LiveBackend(Backend):
             try:
                 if self._bucket is not None:
                     self._bucket.acquire()
-                response = self._post(url, json=body, headers=headers, timeout=self.timeout_s)
+                response = self._post(url, json=body, headers=headers, timeout=TIMEOUT_S)
             except Exception as exc:  # connection-level failure: retry
                 last_status, last_error = None, repr(exc)
                 continue
             latency_ms = int((time.monotonic() - started) * 1000)
-            status = getattr(response, "status_code", 0)
+            status = response.status_code
             if status == 429 or status >= 500:
                 last_status, last_error = status, f"HTTP {status}"
                 continue

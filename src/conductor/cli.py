@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from importlib import resources
 
@@ -70,22 +72,21 @@ def _resolve_dataset_path(path: str) -> str:
 def _build_backend(args: argparse.Namespace) -> Backend:
     selector = args.backend
     if selector.startswith("replay:"):
-        if getattr(args, "base_url", None):
+        if args.base_url:
             raise ConfigError("--base-url only applies to the live backend")
         target = selector.split(":", 1)[1]
         if target == "fixture":
             target = _fixture_path("replay.jsonl")
         return ReplayBackend.load(target)
     if selector == "live":
-        base_url = getattr(args, "base_url", None)
-        if not base_url:
+        if not args.base_url:
             raise ConfigError("live backend requires --base-url")
-        return LiveBackend(base_url)
+        return LiveBackend(args.base_url)
     raise ConfigError(f"unknown backend {selector!r} (use live or replay:<path>)")
 
 
 def _prices(args: argparse.Namespace) -> PriceTable:
-    if getattr(args, "prices", None):
+    if args.prices:
         return PriceTable.load(args.prices)
     return DEFAULT_PRICES
 
@@ -133,7 +134,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     kind = SchemaKind(args.kind)
     if args.out:
+        existed = os.path.exists(args.out)
         open(args.out, "a").close()  # an unwritable --out fails before scoring
+        if not existed:  # and a failed eval leaves no empty report behind
+            os.remove(args.out)
     records = load_records(args.records)
     samples = load_dataset(_resolve_dataset_path(args.references), kind)
     by_id = {sample.id: sample for sample in samples}
@@ -145,12 +149,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         kind=kind,
         gold_persona_sets={
             s.id: s.gold_persona_texts() for s in ordered if s.gold_persona_texts()
-        }
-        or None,
+        },
         gold_document_sets={
             s.id: s.gold_document_texts() for s in ordered if s.gold_document_texts()
-        }
-        or None,
+        },
     )
     report = score_run(records, references_from_samples(ordered), config)
     print(report.to_table())
@@ -243,12 +245,10 @@ def cmd_chat(args: argparse.Namespace) -> int:
         turn_no += 1
         turns.append(Utterance(speaker=user_role, text=text))
         dialogue = Dialogue(id=f"chat-{turn_no}", utterances=tuple(turns), schema_kind=kind)
-        sample = Sample(
-            id=base_sample.id if base_sample else f"chat-{turn_no}",
-            dialogue=dialogue,
-            gold_response="",
-            persona_candidates=base_sample.persona_candidates if base_sample else None,
-            document_candidates=base_sample.document_candidates if base_sample else None,
+        sample = (
+            replace(base_sample, dialogue=dialogue)
+            if base_sample
+            else Sample(f"chat-{turn_no}", dialogue, "")
         )
         record = run_method(sample, config, backend, prices=prices)
         if record.thought:

@@ -225,18 +225,21 @@ def corpus_bleu(
 # Token F1 / Rouge-L / distinct-n
 
 
+def _f1(matched: int, n_cand: int, n_ref: int) -> float:
+    """Harmonic mean of precision matched/n_cand and recall matched/n_ref;
+    0 when nothing matched, which covers an empty side."""
+    if matched == 0:
+        return 0.0
+    precision = matched / n_cand
+    recall = matched / n_ref
+    return 2 * precision * recall / (precision + recall)
+
+
 def token_f1(candidate: str | Tokens, reference: str | Tokens) -> float:
     """Multiset-overlap F1 over normalized tokens; 0 when either side is empty."""
-    cand = Counter(_as_tokens(candidate))
-    ref = Counter(_as_tokens(reference))
-    if not cand or not ref:
-        return 0.0
-    overlap = sum((cand & ref).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / sum(cand.values())
-    recall = overlap / sum(ref.values())
-    return 2 * precision * recall / (precision + recall)
+    cand = _as_tokens(candidate)
+    ref = _as_tokens(reference)
+    return _f1(sum((Counter(cand) & Counter(ref)).values()), len(cand), len(ref))
 
 
 def _lcs_length(a: Tokens, b: Tokens) -> int:
@@ -254,19 +257,11 @@ def _lcs_length(a: Tokens, b: Tokens) -> int:
     return len(b) - (v & full).bit_count()
 
 
-def rouge_l(candidate: str | Tokens, reference: str | Tokens, beta: float = 1.0) -> float:
-    """LCS-based Rouge-L F-measure; beta weights recall (beta=1 is balanced)."""
+def rouge_l(candidate: str | Tokens, reference: str | Tokens) -> float:
+    """LCS-based Rouge-L F-measure (precision and recall weighted equally)."""
     cand = _as_tokens(candidate)
     ref = _as_tokens(reference)
-    if not cand or not ref:
-        return 0.0
-    lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    beta_sq = beta * beta
-    return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
+    return _f1(_lcs_length(cand, ref), len(cand), len(ref))
 
 
 def distinct_n(candidates: Sequence[str | Tokens], n: int) -> float:
@@ -288,10 +283,6 @@ def distinct_n(candidates: Sequence[str | Tokens], n: int) -> float:
 # Run analysis
 
 
-def strategy_label(names: Iterable[str]) -> str:
-    return " ".join(names)
-
-
 def strategy_distribution(records: Iterable[RunRecord]) -> dict[str, float]:
     """Histogram of ordered strategy sequences across records.
 
@@ -306,7 +297,7 @@ def strategy_distribution(records: Iterable[RunRecord]) -> dict[str, float]:
             continue
         if not all(isinstance(step, StrategyPlanStep) for step in plan):
             continue
-        counts[strategy_label(step.strategy_name for step in plan)] += 1
+        counts[" ".join(step.strategy_name for step in plan)] += 1
     total = sum(counts.values())
     if total == 0:
         return {}
@@ -443,7 +434,7 @@ def score_run(
         strategy_distribution(records) if config.kind != SchemaKind.FOCUS else {}
     )
     counts = None
-    if config.gold_persona_sets is not None or config.gold_document_sets is not None:
+    if config.gold_persona_sets or config.gold_document_sets:
         counts = retrieval_accuracy(
             records,
             config.gold_persona_sets or {},

@@ -154,7 +154,7 @@ def with_cue(cue: str, generation: str) -> str:
     text = generation.strip()
     if text.startswith(cue):
         return text
-    first_line = text.split("\n")[0] if text else ""
+    first_line = text.split("\n")[0]
     if _BARE_ASSIGNMENT.match(first_line):
         return text
     return f"{cue} {text}" if text else cue
@@ -225,12 +225,6 @@ class _Run:
             include_descriptions=self.config.include_tool_descriptions,
         )
 
-    def enriched_context(self) -> str:
-        status = None
-        if self.config.enrich_query_with_status and self.thought is not None:
-            status = self.thought.text
-        return enrich_query(self.context_text, status)
-
     def retrieve(self, variable: str, label: str, query: str) -> Evidence:
         """Bind the top-k passages for `query` to `variable`.
 
@@ -264,9 +258,6 @@ class _Run:
         self.error = ErrorInfo(kind=type(exc).__name__, detail=str(exc))
         self.response = self.response or fallback_response
 
-    def flag(self, kind: str, detail: str) -> None:
-        self.error = ErrorInfo(kind=kind, detail=detail)
-
 
 def run_method(
     sample: Sample,
@@ -289,9 +280,9 @@ def run_method(
         run.fail(exc)
     except Exception as exc:  # a defect must not lose the batch's other records
         _log.exception("sample %s failed", sample.id)
-        run.flag("InternalError", f"{type(exc).__name__}: {exc}")
+        run.error = ErrorInfo("InternalError", f"{type(exc).__name__}: {exc}")
     if run.error is None and not run.response:
-        run.flag("EmptyResponse", "pipeline produced an empty response")
+        run.error = ErrorInfo("EmptyResponse", "pipeline produced an empty response")
     usages = tuple(g.usage() for g in run.generations)
     return RunRecord(
         sample_id=sample.id,
@@ -411,7 +402,8 @@ def _run_tpe_sources(run: _Run) -> None:
     thought, raw = _think_and_plan(
         run, "tpe_planner_focus", "planner", run.profile.source_toolset
     )
-    if _run_source_plan(run, raw, TPE_SIGIL, run.enriched_context()):
+    status = thought if run.config.enrich_query_with_status else None
+    if _run_source_plan(run, raw, TPE_SIGIL, enrich_query(run.context_text, status)):
         include = run.config.include_thought_in_executor and thought
         extras = [("Thought", thought)] if include else ()
         _answer(run, "response", "executor", extras=extras)
@@ -568,7 +560,7 @@ def _run_react(run: _Run) -> None:
             )
 
     finish(step)
-    run.flag(
+    run.error = ErrorInfo(
         "FallbackExhausted",
         f"no Finish after {budget} calls; last generation used as the response",
     )

@@ -306,14 +306,12 @@ def parse_react_step(text: str) -> ReActStep:
         raise ParseError(action_line, "Action line names no action")
 
     open_idx = action_text.find("[")
-    if open_idx > 0:
+    if open_idx > 0:  # so a name precedes "[": _ACTION_LINE drops leading space
         close_idx = action_text.rfind("]")
         if close_idx < open_idx:
             raise ParseError(action_line, "unclosed bracket in action")
         name = action_text[:open_idx].strip()
         argument = action_text[open_idx + 1 : close_idx]
-        if not name:
-            raise ParseError(action_line, "bracketed action has no name")
         if name == "Finish":
             return ReActStep(thought=thought, action=Finish(argument))
         return ReActStep(thought=thought, action=ToolCall(name=name, argument=argument))

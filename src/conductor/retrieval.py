@@ -98,10 +98,6 @@ class Bm25Index:
             self.doc_freq.update(counts.keys())
         self.avgdl = sum(self.doc_len.values()) / len(self.doc_len)
 
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_len)
-
 
 def build_index(corpus: Corpus, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Bm25Index:
     return Bm25Index(corpus=corpus, k1=k1, b=b)
@@ -113,7 +109,7 @@ def score(index: Bm25Index, query_terms: list[str], doc_id: str) -> float:
         raise UnknownDoc(doc_id)
     counts = index.term_counts[doc_id]
     length = index.doc_len[doc_id]
-    n = index.n_docs
+    n = len(index.doc_len)
     total = 0.0
     for term in query_terms:
         tf = counts.get(term, 0)

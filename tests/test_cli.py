@@ -241,6 +241,38 @@ class TestEval:
         assert captured.err.startswith("error: [Errno 2] No such file or directory")
         assert not missing.parent.exists()
 
+    @pytest.mark.parametrize("earlier", [None, "earlier report\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("unknown-sample-id", "error: no reference for sample id 'nope'\n"),
+            ("empty-records", "error: empty corpus\n"),
+        ],
+        ids=["unknown-sample-id", "empty-records"],
+    )
+    def test_failed_eval_leaves_out_as_it_was(self, tmp_path, capsys, case, message, earlier):
+        _, out = _run(tmp_path)
+        records = tmp_path / "records.jsonl"
+        if case == "empty-records":
+            records.write_text("", encoding="utf-8")
+        else:
+            obj = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+            records.write_text(json.dumps({**obj, "sample_id": "nope"}) + "\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        if earlier is not None:
+            report.write_text(earlier, encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["eval", "--records", str(records), "--references", FOCUS,
+             "--kind", "focus", "--out", str(report)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message
+        if earlier is None:
+            assert not report.exists()
+        else:
+            assert report.read_text(encoding="utf-8") == earlier
+
 
 class TestAnalyze:
     def test_strategy_histogram(self, tmp_path, capsys):
@@ -737,5 +769,25 @@ class TestLiveInFlight:
                      "--prices", str(prices), "--out", str(out)])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+        assert server.posts == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "table", ['["gpt-3.5-turbo"]', '"gpt-3.5-turbo"', "0.002"],
+        ids=["array", "string", "number"],
+    )
+    def test_price_table_not_an_object_fails_before_any_call(
+        self, serve, tmp_path, capsys, table
+    ):
+        server = serve()
+        prices = tmp_path / "prices.json"
+        prices.write_text(table, encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["run", "--method", "cot", *self.LIVE, "--dataset", CIMA,
+                     "--prices", str(prices), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid price table {prices}: price table must be a JSON object\n"
+        )
         assert server.posts == 0
         assert not out.exists()

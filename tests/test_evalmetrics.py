@@ -160,11 +160,6 @@ class TestRougeL:
     def test_disjoint(self):
         assert rouge_l("a b", "c d") == 0.0
 
-    def test_beta_parameter_weights_recall(self):
-        balanced = rouge_l("a b c d", "a b")
-        recall_heavy = rouge_l("a b c d", "a b", beta=2.0)
-        assert recall_heavy > balanced
-
     @given(_tokens, _tokens)
     def test_matches_oracle(self, cand, ref):
         assert rouge_l(cand, ref) == pytest.approx(oracles.rouge_l(cand, ref), abs=1e-9)

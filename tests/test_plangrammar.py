@@ -332,6 +332,50 @@ class TestParseStrategyPlan:
         assert parse_strategy_plan(render_strategy_plan(steps)) == steps
 
 
+# Every ParseError branch of the reasoning/acting step parser, pinned as
+# (text, position, reason). A text without an Action line names line 1;
+# every other error names the final Action line.
+REACT_STEP_ERRORS = [
+    pytest.param(
+        "Thought: nothing actionable here\n\nObservation: x",
+        1, "no Action line present",
+        id="no-action-line",
+    ),
+    pytest.param("", 1, "no Action line present", id="empty-text"),
+    pytest.param("Thought: t\n\nAction:   ", 3, "Action line names no action", id="empty-action"),
+    pytest.param(
+        "Action: Hint\nThought: t\nAction:",
+        3, "Action line names no action",
+        id="final-action-line-empty",
+    ),
+    pytest.param(
+        "Thought: t\nAction: Knowledge[open",
+        2, "unclosed bracket in action",
+        id="unclosed-bracket",
+    ),
+    pytest.param(
+        "Thought: t\n\nAction: Knowledge]x[y",
+        3, "unclosed bracket in action",
+        id="closing-before-opening",
+    ),
+    # The Action line's leading whitespace is never part of the action, so
+    # a bracket with no name before it is malformed, not a nameless call.
+    pytest.param(
+        "Thought: t\nAction: \u3000[x]",
+        2, "malformed brackets in action",
+        id="bracket-without-name",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,position,reason", REACT_STEP_ERRORS)
+def test_react_step_error_position_and_reason(text, position, reason):
+    with pytest.raises(ParseError) as info:
+        parse_react_step(text)
+    assert (info.value.position, info.value.reason) == (position, reason)
+    assert str(info.value) == f"line {position}: {reason}"
+
+
 class TestParseReactStep:
     def test_tool_call(self):
         step = parse_react_step(
@@ -374,6 +418,30 @@ class TestParseReactStep:
         )
         assert step.action == Finish("done")
         assert step.thought == "second"
+
+
+# Every ParseError branch of the module-list parser, pinned as
+# (text, position, reason). Both errors name line 1, wherever the list is.
+MODULE_LIST_ERRORS = [
+    pytest.param("no list in sight", 1, "no Modules/Strategies list found", id="no-list"),
+    pytest.param(
+        'Thought: pick\nModules: ["A", "B"',
+        1, "no Modules/Strategies list found",
+        id="unclosed-list",
+    ),
+    pytest.param("Thought: none fit\nModules: []", 1, "module list is empty", id="empty-list"),
+    pytest.param(
+        "Strategies: [Hint, Question]", 1, "module list is empty", id="unquoted-names"
+    ),
+]
+
+
+@pytest.mark.parametrize("text,position,reason", MODULE_LIST_ERRORS)
+def test_module_list_error_position_and_reason(text, position, reason):
+    with pytest.raises(ParseError) as info:
+        parse_module_list(text)
+    assert (info.value.position, info.value.reason) == (position, reason)
+    assert str(info.value) == f"line {position}: {reason}"
 
 
 class TestParseModuleList:
