@@ -57,10 +57,6 @@ class CompletionRequest:
     model_id: str
     stop: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("request needs at least one message")
-
     @classmethod
     def from_prompt(
         cls, prompt: str, model_id: str, stop: tuple[str, ...] | None = None
@@ -69,10 +65,8 @@ class CompletionRequest:
 
     @property
     def prompt_text(self) -> str:
-        """Single-message content, or canonical JSON for multi-message requests."""
-        if len(self.messages) == 1:
-            return self.messages[0][1]
-        return json.dumps([list(m) for m in self.messages], ensure_ascii=False)
+        """The messages' contents, one per line."""
+        return "\n".join(content for _, content in self.messages)
 
 
 def request_hash(request: CompletionRequest) -> str:

@@ -108,6 +108,8 @@ def _method_config(args: argparse.Namespace) -> MethodConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.parallelism < 1:
+        raise ConfigError("--parallelism must be at least 1")
     backend = _build_backend(args)
     prices = _prices(args)
     config = _method_config(args)

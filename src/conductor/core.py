@@ -84,21 +84,10 @@ class ConceptualTool:
     description: str
     examples: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("tool name must be non-empty")
-        if not self.description:
-            raise ValueError(f"tool {self.name!r} needs a description")
-
 
 @dataclass(frozen=True)
 class ToolSet:
     tools: tuple[ConceptualTool, ...]
-
-    def __post_init__(self) -> None:
-        names = [t.name for t in self.tools]
-        if len(set(names)) != len(names):
-            raise ValueError("tool names must be pairwise distinct")
 
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tools)

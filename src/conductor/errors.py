@@ -17,7 +17,6 @@ class MissingSection(ConductorError):
 
     def __init__(self, slot: str):
         super().__init__(f"template requires slot {{{slot}}} but no value was given")
-        self.slot = slot
 
 
 class ParseError(ConductorError):
@@ -45,7 +44,6 @@ class UnboundVariable(ConductorError):
 
     def __init__(self, name: str):
         super().__init__(f"variable {name} is not bound")
-        self.name = name
 
 
 class UnknownTool(ConductorError):
@@ -53,7 +51,6 @@ class UnknownTool(ConductorError):
 
     def __init__(self, name: str):
         super().__init__(f"unknown tool {name!r}")
-        self.name = name
 
 
 class EmptyPlan(ConductorError):
@@ -67,7 +64,6 @@ class EmptyCorpus(ConductorError):
 class UnknownDoc(ConductorError):
     def __init__(self, doc_id: str):
         super().__init__(f"doc id {doc_id!r} not in index")
-        self.doc_id = doc_id
 
 
 class EmptyQuery(ConductorError):
@@ -97,7 +93,6 @@ class RateLimited(BackendError):
 class AuthMissing(BackendError):
     def __init__(self, env_var: str):
         super().__init__(f"no API key: environment variable {env_var} is unset")
-        self.env_var = env_var
 
 
 class ReplayMiss(BackendError):
@@ -108,14 +103,12 @@ class ReplayMiss(BackendError):
             f"no replay fixture for hash {request_hash[:16]}... "
             f"(prompt starts: {prompt_head!r})"
         )
-        self.request_hash = request_hash
         self.prompt_head = prompt_head
 
 
 class UnpricedModel(ConductorError):
     def __init__(self, model_id: str):
         super().__init__(f"no price for model {model_id!r}")
-        self.model_id = model_id
 
 
 class SchemaViolation(ConductorError):
@@ -137,8 +130,6 @@ class DatasetValidationError(ConductorError):
 class MissingDemoBank(ConductorError):
     def __init__(self, kind: str, method: str):
         super().__init__(f"no demonstration bank for kind={kind} method={method}")
-        self.kind = kind
-        self.method = method
 
 
 class ConfigError(ConductorError):

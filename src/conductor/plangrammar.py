@@ -284,8 +284,8 @@ _ACTION_LINE = re.compile(r"^\s*Action:\s*(.*?)\s*$")
 def parse_react_step(text: str) -> ReActStep:
     """Extract the final Thought and Action from the newest continuation.
 
-    ``Finish[...]`` and ``Name[arg]`` take the bracket content up to the last
-    closing bracket on the line, so responses containing brackets survive.
+    ``Finish[...]`` and ``Name[arg]`` take the bracket content up to the
+    ``]`` that ends the line, so responses containing brackets survive.
     A bare action name is a strategy call.
     """
     thought = ""
@@ -310,6 +310,8 @@ def parse_react_step(text: str) -> ReActStep:
         close_idx = action_text.rfind("]")
         if close_idx < open_idx:
             raise ParseError(action_line, "unclosed bracket in action")
+        if close_idx != len(action_text) - 1:  # text after the closing "]"
+            raise ParseError(action_line, "malformed brackets in action")
         name = action_text[:open_idx].strip()
         argument = action_text[open_idx + 1 : close_idx]
         if name == "Finish":

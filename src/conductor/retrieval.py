@@ -61,9 +61,6 @@ class Corpus:
     def __post_init__(self) -> None:
         if not self.docs:
             raise EmptyCorpus(f"source {self.source_name!r} has no documents")
-        ids = [doc_id for doc_id, _ in self.docs]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate doc ids in source {self.source_name!r}")
 
 
 @dataclass

@@ -232,6 +232,26 @@ class TestLiveBackend:
             backend.complete(CompletionRequest.from_prompt("p", "m"))
         assert str(exc_info.value) == f"HTTP 404: {response.text[:200]}"
 
+    def test_client_error_with_unreadable_body_posts_once(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        calls = []
+
+        class _UnreadableResponse:
+            status_code = 403
+
+            @property
+            def text(self):
+                raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def post(*args, **kwargs):
+            calls.append(1)
+            return _UnreadableResponse()
+
+        with pytest.raises(BackendUnavailable) as exc_info:
+            self._backend(post).complete(CompletionRequest.from_prompt("p", "m"))
+        assert str(exc_info.value) == "HTTP 403: <unreadable body>"
+        assert len(calls) == 1
+
     def test_reported_usage_is_never_estimated(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
 

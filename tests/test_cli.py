@@ -11,6 +11,7 @@ import pytest
 from conftest import FIXTURES, GOLDEN, QueueBackend
 from conductor.backend import API_KEY_ENV, LiveBackend
 from conductor.cli import main
+from conductor.data import load_records
 
 REPLAY = str(FIXTURES / "replay.jsonl")
 FOCUS = str(FIXTURES / "focus_samples.jsonl")
@@ -288,6 +289,24 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--records", str(out), "--analysis", "strategies"]) == 0
         assert capsys.readouterr().out == "no parsed strategy plans in records\n"
+
+    def test_no_strategy_plans_in_module_list_records(self, tmp_path, capsys):
+        _, out = _run(tmp_path, method="chameleon")
+        capsys.readouterr()
+        assert all(isinstance(r.parsed_plan, tuple) for r in load_records(str(out)))
+        assert main(["analyze", "--records", str(out), "--analysis", "strategies"]) == 0
+        assert capsys.readouterr().out == "no parsed strategy plans in records\n"
+
+    def test_strategy_fragments_are_not_retrieval_hits(self, tmp_path, capsys):
+        _, out = _run(tmp_path, kind="cima", dataset=CIMA)
+        capsys.readouterr()
+        assert all(len(r.evidence) for r in load_records(str(out)))
+        code = main(
+            ["analyze", "--records", str(out), "--analysis", "retrieval",
+             "--dataset", CIMA, "--kind", "cima"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "correct personas=0 correct documents=0\n"
 
     def test_cost_table_groups_by_method(self, tmp_path, capsys):
         _, tpe_out = _run(tmp_path, name="tpe.jsonl")
@@ -578,6 +597,15 @@ class TestChat:
         assert code == 0
         assert capsys.readouterr().out == ""
 
+    def test_blank_line_makes_no_call(self, monkeypatch, capsys):
+        backend = QueueBackend("Think of grass.")
+        monkeypatch.setattr("conductor.cli._build_backend", lambda args: backend)
+        monkeypatch.setattr("sys.stdin", io.StringIO("  \n\nwhat is green?\n\n"))
+        code = main(["chat", "--method", "cot", "--kind", "cima", "--backend", "replay:unused"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("[response] Think of grass.\n")
+        assert len(backend.requests) == 1
+
     def test_focus_without_sample_is_config_error(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
         code = main(["chat", "--method", "tpe", "--kind", "focus", "--backend", f"replay:{REPLAY}"])
@@ -758,6 +786,19 @@ class TestLiveInFlight:
             f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
         )
         assert server.posts == 0
+
+    @pytest.mark.parametrize("parallelism", ["0", "-5"])
+    def test_parallelism_below_one_fails_before_any_call(
+        self, serve, tmp_path, capsys, parallelism
+    ):
+        server = serve()
+        out = tmp_path / "o.jsonl"
+        code = main(["run", "--method", "cot", *self.LIVE, "--dataset", CIMA,
+                     "--out", str(out), "--parallelism", parallelism])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --parallelism must be at least 1\n"
+        assert server.posts == 0
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", ['"Infinity"', "Infinity"])
     def test_infinite_price_fails_before_any_call(self, serve, tmp_path, capsys, rate):

@@ -70,6 +70,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             store.bind("So1", "again")
 
+    def test_evidence_store_is_unequal_to_other_types(self):
+        assert EvidenceStore() == EvidenceStore()
+        assert EvidenceStore() != object()
+
 
 class TestRenderDialogue:
     def test_two_turn_focus(self):

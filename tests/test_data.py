@@ -185,6 +185,22 @@ class TestLoadDataset:
             load_dataset(str(path), SchemaKind.CIMA)
         assert str(exc_info.value) == f"{path}: 1 invalid line(s): line 3: duplicate id 'c1'"
 
+    def test_blank_speaker_and_empty_dialogue_are_listed(self, tmp_path):
+        blank_speaker, no_turns = _cima_obj("c1"), _cima_obj("c2")
+        blank_speaker["dialogue"][0]["speaker"] = ""
+        no_turns["dialogue"] = []
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "".join(json.dumps(obj) + "\n" for obj in (blank_speaker, no_turns)),
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_dataset(str(path), SchemaKind.CIMA)
+        assert [(v.line_no, v.reason) for v in exc_info.value.violations] == [
+            (1, "utterance speaker must be non-empty"),
+            (2, "dialogue needs at least one utterance"),
+        ]
+
 
 class TestDemonstrations:
     def test_focus_tpe_bank_matches_committed_plans(self):
@@ -366,3 +382,26 @@ class TestRecordLayout:
             load_records(str(path))
         assert [v.line_no for v in exc_info.value.violations] == [2, 4, 5]
         assert "record must be dict" in exc_info.value.violations[0].reason
+
+    def test_empty_query_and_empty_fragment_are_listed(self, tmp_path):
+        no_query = record_to_obj(_full_record())
+        no_query["parsed_plan"]["steps"][0]["query"] = []
+        no_fragment = record_to_obj(
+            RunRecord(
+                sample_id="c1", method="tpe", kind=SchemaKind.CIMA,
+                parsed_plan=(StrategyPlanStep("Hint", "box is scatola."),),
+                response="box is scatola.",
+            )
+        )
+        no_fragment["parsed_plan"]["steps"][0]["fragment"] = ""
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            "".join(json.dumps(obj) + "\n" for obj in (no_query, no_fragment)),
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetValidationError) as exc_info:
+            load_records(str(path))
+        assert [(v.line_no, v.reason) for v in exc_info.value.violations] == [
+            (1, "query needs at least one segment"),
+            (2, "strategy fragment must be non-empty"),
+        ]

@@ -198,6 +198,23 @@ class TestDistinctN:
         )
 
 
+class TestArgumentGuards:
+    def test_ngram_order_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            modified_ngram_precision(["a"], ["a"], 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            distinct_n(["a b"], 0)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_sentence_bleu_order_outside_one_to_four(self, n):
+        with pytest.raises(ValueError, match=r"n must be in 1\.\.4"):
+            sentence_bleu_n("a b", ["a b"], n)
+
+    def test_sentence_bleu_needs_a_reference(self):
+        with pytest.raises(LengthMismatch, match="need at least one reference"):
+            sentence_bleu_n("a b", [], 1)
+
+
 # 0-40 tokens over 3-5 symbols, so n-grams repeat within and across lists.
 _repeating = st.integers(3, 5).flatmap(
     lambda k: st.lists(st.sampled_from("abcde"[:k]), max_size=40)

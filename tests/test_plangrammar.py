@@ -365,6 +365,17 @@ REACT_STEP_ERRORS = [
         2, "malformed brackets in action",
         id="bracket-without-name",
     ),
+    # The action ends at its closing "]": no text may follow it.
+    pytest.param(
+        "Thought: t\nAction: a[b]c[",
+        2, "malformed brackets in action",
+        id="bracket-after-call",
+    ),
+    pytest.param(
+        "Thought: t\nAction: Finish[ok] trailing words",
+        2, "malformed brackets in action",
+        id="words-after-finish",
+    ),
 ]
 
 
