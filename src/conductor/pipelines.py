@@ -18,8 +18,9 @@ maps a sample to a RunRecord through a fixed call pattern:
 
 Every prompt is rendered by `_Run.prompt` and every retrieval, whichever
 flow asks for it, goes through `_Run.retrieve`. A pair missing from `FLOWS`
-is a ConfigError when the MethodConfig is built, and a model missing from
-the price table is an UnpricedModel before the first backend call.
+is a ConfigError when the MethodConfig is built, a `run_batch` parallelism
+below 1 is one before any call, and a model missing from the price table is
+an UnpricedModel before the first backend call.
 
 Failures never abort a batch, and every plan fails one way: a source plan,
 strategy plan or module list that does not parse or names an unknown tool
@@ -308,10 +309,13 @@ def run_batch(
 ) -> list[RunRecord]:
     """Run all samples, optionally in parallel; output keeps input order."""
 
+    if parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
+
     def one(sample: Sample) -> RunRecord:
         return run_method(sample, config, backend, prices)
 
-    if parallelism <= 1:
+    if parallelism == 1:
         return [one(sample) for sample in samples]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(one, samples))

@@ -623,6 +623,14 @@ class TestBatch:
         export_records(records, str(path))
         assert load_records(str(path)) == records
 
+    @pytest.mark.parametrize("parallelism", [0, -5])
+    def test_parallelism_below_one_fails_before_any_call(self, parallelism):
+        backend = _FaultyBackend()
+        config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
+        with pytest.raises(ConfigError, match="parallelism must be >= 1"):
+            run_batch(_focus_samples(), config, backend, parallelism=parallelism)
+        assert backend.prompts == []
+
     def test_parallel_equals_serial(self):
         samples = _focus_samples()
         config = MethodConfig(method=Method.TPE, dataset_kind=SchemaKind.FOCUS)
